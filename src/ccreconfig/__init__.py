@@ -42,8 +42,6 @@ from .graph import (
     connected_components,
     cycle_graph,
     empty_graph,
-    format_graph,
-    induced_subgraph,
     is_chordal,
     parse_graph,
     path_graph,
@@ -63,10 +61,8 @@ from .oracle import (
 from .paths import (
     CompressedMove,
     PathSolveResult,
-    SubscriptedProfile,
     buffer,
     expand_moves,
-    inversions,
     is_path_graph,
     path_order,
     size_profile,
@@ -78,7 +74,6 @@ from .rules import (
     Rule,
     VerifyResult,
     adjacent,
-    expand_cs_to_cs1,
     verify_sequence,
 )
 

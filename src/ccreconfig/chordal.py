@@ -61,6 +61,21 @@ class ConflictGraph:
         return True
 
 
+def _touching(
+    g: Graph, owner_x: dict[int, int], owner_y: dict[int, int]
+) -> set[tuple[int, int]]:
+    """(x index, y index) for every pair of components that share a
+    vertex or an edge, found from the neighbourhoods of x's vertices."""
+    ys = set(owner_y)
+    out = set()
+    for v, i in owner_x.items():
+        if v in ys:
+            out.add((i, owner_y[v]))
+        for u in g.adj[v] & ys:
+            out.add((i, owner_y[u]))
+    return out
+
+
 def build_conflict_graph(
     g: Graph, a: Iterable[int], b: Iterable[int]
 ) -> ConflictGraph:
@@ -72,22 +87,15 @@ def build_conflict_graph(
     a_only = tuple(c for c in comps_a if c not in common_set)
     b_only = tuple(c for c in comps_b if c not in common_set)
 
-    a_label = [-1] * g.n
-    b_label = [-1] * g.n
-    for i, comp in enumerate(a_only):
-        for v in comp:
-            a_label[v] = i
-    for i, comp in enumerate(b_only):
-        for v in comp:
-            b_label[v] = i
-    edges = set()
-    for i, comp in enumerate(a_only):
-        for v in comp:
-            if b_label[v] >= 0:
-                edges.add((i, b_label[v]))
-            for u in g.adj[v]:
-                if b_label[u] >= 0:
-                    edges.add((i, b_label[u]))
+    a_owner = {v: i for i, comp in enumerate(a_only) for v in comp}
+    b_owner = {v: i for i, comp in enumerate(b_only) for v in comp}
+    # read the neighbourhoods of whichever side has less adjacency
+    vol_a = sum(len(g.adj[v]) for v in a_owner)
+    vol_b = sum(len(g.adj[v]) for v in b_owner)
+    if vol_a <= vol_b:
+        edges = _touching(g, a_owner, b_owner)
+    else:
+        edges = {(i, j) for j, i in _touching(g, b_owner, a_owner)}
     return ConflictGraph(a_only, b_only, common, tuple(sorted(edges)))
 
 
@@ -185,12 +193,11 @@ def solve_chordal_cj(
     a: Iterable[int],
     b: Iterable[int],
     *,
-    check_class: bool = True,
     want_states: bool = True,
 ) -> EqualSizeResult:
     """Equal-size jump solver specialized to chordal host graphs, where
     the conflict graph is guaranteed to be a forest."""
-    if check_class and not is_chordal(g):
+    if not is_chordal(g):
         raise WrongGraphClassError("graph is not chordal")
     res = solve_equal_size_cj(g, a, b, want_states=want_states)
     if res.answer == "unknown":

@@ -27,7 +27,7 @@ from .errors import (
 from .generators import gen_chordal_instance, gen_cograph_instance, gen_path_instance
 from .graph import Graph, SizeMultiset, _clean_subset, cc_multiset, is_chordal, parse_graph
 from .oracle import DEFAULT_STATE_CAP, build_reconfig_graph, export_dot, oracle_solve
-from .paths import expand_moves, is_path_graph, solve_path_cj, solve_path_cs
+from .paths import CompressedMove, expand_moves, is_path_graph, solve_path_cj, solve_path_cs
 from .rules import Rule, verify_sequence
 
 EXIT_YES = 0
@@ -45,22 +45,38 @@ def _read_json(path: str) -> Any:
             return json.load(sys.stdin)
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidInstanceError(f"cannot read {path}: {exc}") from None
+
+
+def _int_list(value: Any, what: str) -> list[int]:
+    """The value itself if it is a JSON list of integers."""
+    if type(value) is not list or not all(type(v) is int for v in value):
+        raise InvalidInstanceError(f"{what} must be a list of integers")
+    return value
 
 
 def _instance_graph(obj: dict) -> Graph:
     if "graph_file" in obj:
+        if not isinstance(obj["graph_file"], str):
+            raise InvalidInstanceError('"graph_file" must be a path string')
         try:
             with open(obj["graph_file"], encoding="utf-8") as fh:
                 return parse_graph(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InvalidInstanceError(str(exc)) from None
     payload = obj.get("graph")
     if not isinstance(payload, dict) or "n" not in payload:
         raise InvalidInstanceError('instance needs "graph" {n, edges} or "graph_file"')
-    edges = [tuple(e) for e in payload.get("edges", [])]
-    return Graph(int(payload["n"]), edges)
+    if type(payload["n"]) is not int:
+        raise InvalidInstanceError('"n" must be an integer')
+    edges = payload.get("edges", [])
+    if type(edges) is not list or not all(
+        type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
+        for e in edges
+    ):
+        raise InvalidInstanceError('"edges" must be a list of [u, v] integer pairs')
+    return Graph(payload["n"], edges)
 
 
 def _load_instance(path: str, rule_flag: str | None):
@@ -70,8 +86,8 @@ def _load_instance(path: str, rule_flag: str | None):
     g = _instance_graph(obj)
     if "A" not in obj or "B" not in obj:
         raise InvalidInstanceError('instance needs "A" and "B" vertex lists')
-    a = _clean_subset(g, obj["A"])
-    b = _clean_subset(g, obj["B"])
+    a = _clean_subset(g, _int_list(obj["A"], '"A"'))
+    b = _clean_subset(g, _int_list(obj["B"], '"B"'))
     rule_name = rule_flag or obj.get("rule")
     if not rule_name:
         raise InvalidInstanceError('no rule: set "rule" in the instance or pass --rule')
@@ -79,7 +95,7 @@ def _load_instance(path: str, rule_flag: str | None):
     declared = obj.get("multiset")
     ma, mb = cc_multiset(g, a), cc_multiset(g, b)
     if declared is not None:
-        stated = SizeMultiset(declared)
+        stated = SizeMultiset(_int_list(declared, '"multiset"'))
         if stated != ma or stated != mb:
             raise InvalidInstanceError(
                 f"declared multiset {list(stated)} does not match the "
@@ -218,22 +234,44 @@ def _cmd_oracle(args) -> int:
     return _cmd_solve(args)
 
 
+def _state_list(value: Any) -> list[tuple[int, ...]]:
+    if type(value) is not list:
+        raise InvalidInstanceError("states must be a list of vertex lists")
+    return [tuple(_int_list(s, "a state")) for s in value]
+
+
+def _replay_jumps(a: tuple[int, ...], moves: list) -> list[tuple[int, ...]]:
+    """States after each [source, target] vertex-list jump.  The jumps
+    are applied as plain set updates; verify_sequence judges the result."""
+    current = set(a)
+    states = [a]
+    for mv in moves:
+        if type(mv) is not list or len(mv) != 2:
+            raise InvalidInstanceError(f"bad compressed move: {mv!r}")
+        current.difference_update(_int_list(mv[0], "jump source"))
+        current.update(_int_list(mv[1], "jump target"))
+        states.append(tuple(sorted(current)))
+    return states
+
+
 def _cmd_verify(args) -> int:
     g, a, b, rule, ma, mb = _load_instance(args.instance, args.rule)
     seq = _read_json(args.sequence)
+    if isinstance(seq, dict) and args.rule is None and "rule" in seq:
+        rule = Rule.parse(seq["rule"])
     if isinstance(seq, dict) and "states" in seq:
-        if args.rule is None and "rule" in seq:
-            rule = Rule.parse(seq["rule"])
-        states = [tuple(int(v) for v in s) for s in seq["states"]]
+        states = _state_list(seq["states"])
     elif isinstance(seq, dict) and "moves" in seq:
-        from .paths import CompressedMove
-
-        moves = [CompressedMove.from_json(mv) for mv in seq["moves"]]
-        if args.rule is None and "rule" in seq:
-            rule = Rule.parse(seq["rule"])
-        states = list(expand_moves(g, a, moves, rule).states)
+        moves = seq["moves"]
+        if type(moves) is not list:
+            raise InvalidInstanceError('"moves" must be a list')
+        if all(isinstance(mv, dict) for mv in moves):
+            moves = [CompressedMove.from_json(mv) for mv in moves]
+            states = list(expand_moves(g, a, moves, rule).states)
+        else:
+            states = _replay_jumps(a, moves)
     elif isinstance(seq, list):
-        states = [tuple(int(v) for v in s) for s in seq]
+        states = _state_list(seq)
     else:
         raise InvalidInstanceError('sequence needs "states", "moves", or a list')
     if not states or tuple(sorted(states[0])) != a or tuple(sorted(states[-1])) != b:

@@ -2,8 +2,9 @@
 
 A cograph decomposes recursively: every induced subgraph with at least
 two vertices is either disconnected or has a disconnected complement.
-The solver mirrors that decomposition.  A disconnected region splits the
-instance per part.  In a connected region, all edges between two
+The cotree records that decomposition once per graph (it is cached on
+the Graph), and the solver walks it.  A disconnected region (union node)
+splits the instance per part.  In a connected region, all edges between two
 co-components are present, so any configuration with several components
 is trapped inside a single co-component and the instance descends there.
 Two single-component configurations are always at slide distance 0, 1,
@@ -32,7 +33,6 @@ from .graph import (
     co_components,
     connected_components,
     is_connected_set,
-    touches,
 )
 from .rules import Rule
 
@@ -57,8 +57,9 @@ class CotreeNode:
     children: tuple["CotreeNode", ...] = ()
 
 
-def decompose_cograph(g: Graph) -> CotreeNode | None:
-    """Cotree of g, or None if g is not a cograph."""
+def _build_cotree(g: Graph) -> CotreeNode | None:
+    """Cotree of g by repeated splitting into components and
+    co-components, or None if g is not a cograph."""
 
     def build(region: tuple[int, ...]) -> CotreeNode | None:
         if len(region) == 1:
@@ -81,6 +82,12 @@ def decompose_cograph(g: Graph) -> CotreeNode | None:
     if g.n == 0:
         return CotreeNode("union", ())
     return build(tuple(range(g.n)))
+
+
+def decompose_cograph(g: Graph) -> CotreeNode | None:
+    """Cotree of g, or None if g is not a cograph.  Built on first use
+    and cached on the graph."""
+    return g.cotree
 
 
 def is_cograph(g: Graph) -> bool:
@@ -107,44 +114,48 @@ def _bfs_ball(g: Graph, region: frozenset[int], start: int, size: int) -> frozen
     return frozenset(order)
 
 
-def _co_part_of(parts: list[tuple[int, ...]], vertices: frozenset[int]) -> frozenset[int]:
-    for part in parts:
-        if vertices & set(part):
-            block = frozenset(part)
-            if not vertices <= block:
+def _co_part_of(join: CotreeNode, vertices: frozenset[int]) -> CotreeNode:
+    """The child of a join node (a co-component) that holds the vertices."""
+    for child in join.children:
+        if not vertices.isdisjoint(child.vertices):
+            if not vertices.issubset(child.vertices):
                 raise InternalContradictionError(
                     "multi-component configuration spans co-components"
                 )
-            return block
+            return child
     raise InternalContradictionError("configuration outside every co-component")
+
+
+def _outside_vertex(join: CotreeNode, vertices: frozenset[int]) -> int:
+    """Lowest vertex of the join node outside the co-component holding
+    the vertices; it is adjacent to every one of them."""
+    home = set(_co_part_of(join, vertices).vertices)
+    return min(v for v in join.vertices if v not in home)
 
 
 def _one_component_states(
     g: Graph,
-    region: frozenset[int],
+    join: CotreeNode,
     x: frozenset[int],
     y: frozenset[int],
     variant: Rule,
 ) -> list[frozenset[int]]:
     """Slide sequence between two connected sets of the same size inside
-    a connected co-graph region."""
+    the connected region of a join node.  Both sets are connected, so
+    they touch iff their union is connected."""
     if x == y:
         return [x]
     if variant is Rule.CS:
-        if touches(g, x, y):
+        if is_connected_set(g, x | y):
             return [x, y]
-        parts = co_components(g, sorted(region))
-        home = _co_part_of(parts, x | y)
-        z = min(region - home)
-        ball = _bfs_ball(g, region, z, len(x))
+        z = _outside_vertex(join, x | y)
+        ball = _bfs_ball(g, frozenset(join.vertices), z, len(x))
         return [x, ball, y]
 
     states = [x]
     cur = x
-    if not touches(g, cur, y):
-        parts = co_components(g, sorted(region))
-        home = _co_part_of(parts, cur | y)
-        z = min(region - home)
+    if not is_connected_set(g, cur | y):
+        z = _outside_vertex(join, cur | y)
         gone = min(cur - y)
         cur = (cur - {gone}) | {z}
         states.append(cur)
@@ -155,7 +166,7 @@ def _one_component_states(
                 cand = (cur - {out}) | {came}
                 if not is_connected_set(g, cand):
                     continue
-                if cand == y or touches(g, cand, y):
+                if cand == y or is_connected_set(g, cand | y):
                     nxt = cand
                     break
             if nxt is not None:
@@ -181,7 +192,7 @@ def cs1_distance_one_component(g: Graph, x: Iterable[int], y: Iterable[int]) -> 
     _require_one_component_instance(g, xs, ys)
     if xs == ys:
         return 0
-    if touches(g, xs, ys):
+    if is_connected_set(g, xs | ys):
         return len(xs - ys)
     return len(xs - ys) + 1
 
@@ -204,7 +215,7 @@ def _one_component_prepared(
 ) -> list[frozenset[int]]:
     xs, ys = frozenset(_clean_subset(g, x)), frozenset(_clean_subset(g, y))
     _require_one_component_instance(g, xs, ys)
-    return _one_component_states(g, frozenset(range(g.n)), xs, ys, variant)
+    return _one_component_states(g, decompose_cograph(g), xs, ys, variant)
 
 
 @dataclass(frozen=True)
@@ -236,28 +247,28 @@ def solve_cograph_cs(
     """
     if variant not in (Rule.CS, Rule.CS1):
         raise InvalidInstanceError(f"variant must be CS or CS1, got {variant}")
-    if decompose_cograph(g) is None:
+    root = decompose_cograph(g)
+    if root is None:
         raise NotACographError("graph contains an induced four-vertex path")
     va = frozenset(_clean_subset(g, a))
     vb = frozenset(_clean_subset(g, b))
 
     failure = None
 
-    def solve(region: frozenset[int], xa: frozenset[int], xb: frozenset[int]):
+    def solve(node: CotreeNode, xa: frozenset[int], xb: frozenset[int]):
         nonlocal failure
         if xa == xb:
             return [xa]
         if cc_multiset(g, xa) != cc_multiset(g, xb):
             failure = "multiset-mismatch"
             return None
-        parts = connected_components(g, sorted(region))
-        if len(parts) > 1:
+        if node.kind == "union":
             states = [xa]
             done: frozenset[int] = frozenset()
             todo = xa
-            for part in parts:
-                block = frozenset(part)
-                sub = solve(block, xa & block, xb & block)
+            for child in node.children:
+                block = frozenset(child.vertices)
+                sub = solve(child, xa & block, xb & block)
                 if sub is None:
                     return None
                 todo = todo - block
@@ -265,18 +276,17 @@ def solve_cograph_cs(
                     states.append(done | step | todo)
                 done = done | (xb & block)
             return states
-        comps_a = connected_components(g, sorted(xa))
-        if len(comps_a) == 1:
-            return _one_component_states(g, region, xa, xb, variant)
-        co_parts = co_components(g, sorted(region))
-        home_a = _co_part_of(co_parts, xa)
-        home_b = _co_part_of(co_parts, xb)
-        if home_a != home_b:
+        # two distinct sets with one multiset do not fit in a leaf, so
+        # this is a join node
+        if len(connected_components(g, xa)) == 1:
+            return _one_component_states(g, node, xa, xb, variant)
+        home = _co_part_of(node, xa)
+        if home is not _co_part_of(node, xb):
             failure = "co-component-mismatch"
             return None
-        return solve(home_a, xa, xb)
+        return solve(home, xa, xb)
 
-    states = solve(frozenset(range(g.n)), va, vb)
+    states = solve(root, va, vb)
     if states is None:
         return CographSolveResult(variant, False, reason=failure)
     return CographSolveResult(

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import InvalidInstanceError
+from .errors import InvalidInstanceError, WrongGraphClassError
+
+if TYPE_CHECKING:
+    from .cographs import CotreeNode
 
 __all__ = [
     "Graph",
@@ -25,7 +28,6 @@ __all__ = [
     "complete_graph",
     "empty_graph",
     "parse_graph",
-    "format_graph",
     "mask_of",
     "bits_of",
     "vertices_of",
@@ -36,7 +38,6 @@ __all__ = [
     "cc_multiset",
     "touches",
     "co_components",
-    "induced_subgraph",
     "is_chordal",
     "connected_k_subsets",
 ]
@@ -46,7 +47,9 @@ class Graph:
     """Immutable undirected graph on vertices 0..n-1.
 
     Self-loops and duplicate edges are rejected.  Treat instances as
-    frozen: all derived structure is shared freely across threads.
+    frozen: all derived structure is shared freely across threads.  The
+    class facts the solvers rest on (path order, cotree) are computed on
+    first use and cached on the instance.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -95,6 +98,26 @@ class Graph:
     @cached_property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
+
+    # The two builders live with their solvers, which import this module.
+
+    @cached_property
+    def path_layout(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """Vertices in path order and the position of each vertex along
+        it, or None when the graph is not a path."""
+        from .paths import _walk_path
+
+        try:
+            return _walk_path(self)
+        except WrongGraphClassError:
+            return None
+
+    @cached_property
+    def cotree(self) -> CotreeNode | None:
+        """Cotree of the graph, or None when it is not a cograph."""
+        from .cographs import _build_cotree
+
+        return _build_cotree(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -168,12 +191,6 @@ def parse_graph(text: str) -> Graph:
         raise InvalidInstanceError(f"bad edge list: {exc}") from None
 
 
-def format_graph(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # subsets: masks and vertex tuples
 
@@ -209,73 +226,37 @@ def _clean_subset(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
     return tuple(vs)
 
 
+def _component(g: Graph, inside: set[int], s: int, seen: set[int]) -> list[int]:
+    """Breadth-first component of s in G[inside]; marks it in seen."""
+    seen.add(s)
+    comp = [s]
+    for v in comp:
+        # the intersection probes the smaller set by stored hash, so a
+        # high-degree vertex next to a small subset costs little
+        for u in g.adj[v] & inside:
+            if u not in seen:
+                seen.add(u)
+                comp.append(u)
+    return comp
+
+
 def connected_components(g: Graph, vertices: Iterable[int]) -> list[tuple[int, ...]]:
     """Components of G[vertices]: each block sorted, blocks ordered by
     lowest vertex."""
     vs = _clean_subset(g, vertices)
     inside = set(vs)
     seen: set[int] = set()
-    blocks = []
-    for s in vs:
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        queue = deque((s,))
-        while queue:
-            v = queue.popleft()
-            for u in g.adj[v]:
-                if u in inside and u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    queue.append(u)
-        blocks.append(tuple(sorted(comp)))
-    return blocks
-
-
-def components_masks(g: Graph, mask: int) -> list[int]:
-    """Bitmask variant of connected_components, ordered by lowest bit."""
-    adj = g.adj_masks
-    comps = []
-    rem = mask
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                f ^= low
-                nxt |= adj[low.bit_length() - 1]
-            frontier = nxt & rem & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rem &= ~comp
-    return comps
+    return [tuple(sorted(_component(g, inside, s, seen))) for s in vs if s not in seen]
 
 
 def is_connected_set(g: Graph, vertices: Iterable[int]) -> bool:
     vs = _clean_subset(g, vertices)
-    if not vs:
-        return False
-    inside = set(vs)
-    seen = {vs[0]}
-    queue = deque((vs[0],))
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if u in inside and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(vs)
+    return bool(vs) and len(_component(g, set(vs), vs[0], set())) == len(vs)
 
 
-def is_connected_mask(g: Graph, mask: int) -> bool:
-    if mask == 0:
-        return False
+def _component_mask(g: Graph, mask: int, comp: int) -> int:
+    """Grow the seed bits comp to their whole component inside mask."""
     adj = g.adj_masks
-    comp = mask & -mask
     frontier = comp
     while frontier:
         nxt = 0
@@ -286,7 +267,21 @@ def is_connected_mask(g: Graph, mask: int) -> bool:
             nxt |= adj[low.bit_length() - 1]
         frontier = nxt & mask & ~comp
         comp |= frontier
-    return comp == mask
+    return comp
+
+
+def components_masks(g: Graph, mask: int) -> list[int]:
+    """Bitmask variant of connected_components, ordered by lowest bit."""
+    comps = []
+    while mask:
+        comp = _component_mask(g, mask, mask & -mask)
+        comps.append(comp)
+        mask &= ~comp
+    return comps
+
+
+def is_connected_mask(g: Graph, mask: int) -> bool:
+    return mask != 0 and _component_mask(g, mask, mask & -mask) == mask
 
 
 class SizeMultiset(tuple):
@@ -385,23 +380,6 @@ def co_components(g: Graph, subset: Iterable[int] | None = None) -> list[tuple[i
                 queue.extend(taken)
         blocks.append(tuple(sorted(comp)))
     return blocks
-
-
-def induced_subgraph(
-    g: Graph, vertices: Iterable[int]
-) -> tuple[Graph, dict[int, int], tuple[int, ...]]:
-    """Induced subgraph on the given vertices with dense relabeling.
-
-    Returns (subgraph, old->new map, new->old tuple).
-    """
-    vs = _clean_subset(g, vertices)
-    to_sub = {v: i for i, v in enumerate(vs)}
-    edges = []
-    for v in vs:
-        for u in g.adj[v]:
-            if u > v and u in to_sub:
-                edges.append((to_sub[v], to_sub[u]))
-    return Graph(len(vs), edges), to_sub, vs
 
 
 def is_chordal(g: Graph) -> bool:

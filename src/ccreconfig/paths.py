@@ -6,9 +6,11 @@ slide question is pure profile equality.  Component jumps can reorder it
 by parking a component in the free space at the right end: an adjacent
 out-of-order pair (x, y) is swapped in three jumps (smaller one out to
 the buffer, larger one across, smaller one back), which is possible
-exactly when min(x, y) fits in the buffer.  Both solvers work in
-position space along the path and emit compressed moves: (size, leftmost
-position before, leftmost position after).
+exactly when min(x, y) fits in the buffer.  So a CJ instance is feasible
+exactly when the components larger than the buffer keep their relative
+order.  Both solvers work in position space along the path and emit
+compressed moves: (size, leftmost position before, leftmost position
+after).
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ __all__ = [
     "path_order",
     "is_path_graph",
     "size_profile",
-    "SubscriptedProfile",
-    "inversions",
     "buffer",
     "CompressedMove",
     "PathSolveResult",
@@ -35,19 +35,17 @@ __all__ = [
 ]
 
 
-def path_order(g: Graph) -> tuple[int, ...]:
-    """Vertices in order along the path, starting from the endpoint with
-    the smaller id.  Raises if the graph is not a path."""
+def _walk_path(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Path order from the endpoint with the smaller id, and the position
+    of each vertex in it.  Raises if the graph is not a path."""
     n = g.n
-    if n == 0:
-        return ()
-    if n == 1:
-        return (0,)
+    if n <= 1:
+        return tuple(range(n)), tuple(range(n))
     if g.m != n - 1:
         raise WrongGraphClassError(f"not a path: {g.m} edges for {n} vertices")
     ends = []
     for v in range(n):
-        d = g.degree(v)
+        d = len(g.adj[v])
         if d > 2:
             raise WrongGraphClassError(f"not a path: vertex {v} has degree {d}")
         if d == 1:
@@ -63,22 +61,28 @@ def path_order(g: Graph) -> tuple[int, ...]:
             raise WrongGraphClassError("not a path: walk ended early")
         prev = cur
         order.append(nxt[0])
-    return tuple(order)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return tuple(order), tuple(pos)
+
+
+def path_order(g: Graph) -> tuple[int, ...]:
+    """Vertices in order along the path, starting from the endpoint with
+    the smaller id.  Raises if the graph is not a path."""
+    if g.path_layout is None:
+        _walk_path(g)  # raises with the reason the graph is not a path
+    return g.path_layout[0]
 
 
 def is_path_graph(g: Graph) -> bool:
-    try:
-        path_order(g)
-        return True
-    except WrongGraphClassError:
-        return False
+    return g.path_layout is not None
 
 
 def _positions(g: Graph, subset: Iterable[int]) -> tuple[tuple[int, ...], list[int]]:
     order = path_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    vs = _clean_subset(g, subset)
-    return order, sorted(pos[v] for v in vs)
+    pos = g.path_layout[1]
+    return order, sorted(pos[v] for v in _clean_subset(g, subset))
 
 
 def _runs(positions: Sequence[int]) -> list[tuple[int, int]]:
@@ -100,41 +104,15 @@ def size_profile(g: Graph, subset: Iterable[int]) -> list[int]:
     return [size for _, size in _runs(positions)]
 
 
-@dataclass(frozen=True)
-class SubscriptedProfile:
+def _tagged(profile: Iterable[int]) -> list[tuple[int, int]]:
     """Profile entries tagged with their occurrence number, so equal
     sizes become distinguishable: (size, 1), (size, 2), ..."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_profile(cls, profile: Iterable[int]) -> "SubscriptedProfile":
-        seen: dict[int, int] = {}
-        entries = []
-        for size in profile:
-            seen[size] = seen.get(size, 0) + 1
-            entries.append((size, seen[size]))
-        return cls(tuple(entries))
-
-    @property
-    def ranks(self) -> dict[tuple[int, int], int]:
-        """1-based position of each entry."""
-        return {e: i + 1 for i, e in enumerate(self.entries)}
-
-
-def inversions(
-    pa: SubscriptedProfile, pb: SubscriptedProfile
-) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Entry pairs ordered one way in pa and the other way in pb."""
-    if sorted(pa.entries) != sorted(pb.entries):
-        raise InvalidInstanceError("profiles do not contain the same components")
-    ra, rb = pa.ranks, pb.ranks
-    out = []
-    for x in pa.entries:
-        for y in pa.entries:
-            if ra[x] < ra[y] and rb[x] > rb[y]:
-                out.append((x, y))
-    return out
+    seen: dict[int, int] = {}
+    entries = []
+    for size in profile:
+        seen[size] = seen.get(size, 0) + 1
+        entries.append((size, seen[size]))
+    return entries
 
 
 def buffer(n: int, subset: Sequence[int], k: int) -> int:
@@ -157,9 +135,12 @@ class CompressedMove:
     @classmethod
     def from_json(cls, obj: dict) -> "CompressedMove":
         try:
-            return cls(int(obj["size"]), int(obj["from"]), int(obj["to"]))
-        except (KeyError, TypeError, ValueError):
+            fields = obj["size"], obj["from"], obj["to"]
+        except (KeyError, TypeError):
             raise InvalidInstanceError(f"bad compressed move: {obj!r}") from None
+        if any(type(v) is not int for v in fields):
+            raise InvalidInstanceError(f"bad compressed move: {obj!r}")
+        return cls(*fields)
 
     def inverse(self) -> "CompressedMove":
         return CompressedMove(self.size, self.dst, self.src)
@@ -234,12 +215,11 @@ def solve_path_cj(
     profile_b = [s for _, s in runs_b]
     if sorted(profile_a) != sorted(profile_b):
         return PathSolveResult(Rule.CJ, False, reason="multiset-mismatch")
-    sub_a = SubscriptedProfile.from_profile(profile_a)
-    sub_b = SubscriptedProfile.from_profile(profile_b)
+    # equal sizes never need to pass each other, so a pair that cannot
+    # swap exists iff the sizes above the buffer appear in another order
     free = buffer(len(order), pos_a, len(runs_a))
-    for x, y in inversions(sub_a, sub_b):
-        if min(x[0], y[0]) > free:
-            return PathSolveResult(Rule.CJ, False, reason="buffer-exceeded")
+    if [s for s in profile_a if s > free] != [s for s in profile_b if s > free]:
+        return PathSolveResult(Rule.CJ, False, reason="buffer-exceeded")
     if not want_moves:
         return PathSolveResult(Rule.CJ, True)
     if pos_a == pos_b:
@@ -248,27 +228,27 @@ def solve_path_cj(
     occupied = len(pos_a)
     k = len(runs_a)
     tail = occupied + k  # one past the gap after the packed block
-    cur = list(sub_a.entries)
-    want_rank = sub_b.ranks
+    cur = _tagged(profile_a)
+    want_rank = {e: i for i, e in enumerate(_tagged(profile_b))}
     swapped = True
     while swapped:
         swapped = False
+        la = 0  # leftmost position of cur[j] in the packed block
         for j in range(len(cur) - 1):
-            if want_rank[cur[j]] <= want_rank[cur[j + 1]]:
-                continue
-            la = sum(size for size, _ in cur[:j]) + j
-            sl, sr = cur[j][0], cur[j + 1][0]
-            if sl < sr:
-                small_size, small_from, small_to = sl, la, la + sr + 1
-                big_size, big_from, big_to = sr, la + sl + 1, la
-            else:
-                small_size, small_from, small_to = sr, la + sl + 1, la
-                big_size, big_from, big_to = sl, la, la + sr + 1
-            moves.append(CompressedMove(small_size, small_from, tail))
-            moves.append(CompressedMove(big_size, big_from, big_to))
-            moves.append(CompressedMove(small_size, tail, small_to))
-            cur[j], cur[j + 1] = cur[j + 1], cur[j]
-            swapped = True
+            if want_rank[cur[j]] > want_rank[cur[j + 1]]:
+                sl, sr = cur[j][0], cur[j + 1][0]
+                if sl < sr:
+                    small_size, small_from, small_to = sl, la, la + sr + 1
+                    big_size, big_from, big_to = sr, la + sl + 1, la
+                else:
+                    small_size, small_from, small_to = sr, la + sl + 1, la
+                    big_size, big_from, big_to = sl, la, la + sr + 1
+                moves.append(CompressedMove(small_size, small_from, tail))
+                moves.append(CompressedMove(big_size, big_from, big_to))
+                moves.append(CompressedMove(small_size, tail, small_to))
+                cur[j], cur[j + 1] = cur[j + 1], cur[j]
+                swapped = True
+            la += cur[j][0] + 1
     moves.extend(mv.inverse() for mv in reversed(_pack_left_jumps(runs_b)))
     return PathSolveResult(Rule.CJ, True, tuple(moves))
 
@@ -287,9 +267,9 @@ def expand_moves(
 
     states = [snapshot()]
     for mv in moves:
-        seg = set(range(mv.src, mv.src + mv.size))
         if mv.src < 0 or mv.src + mv.size > n or mv.dst < 0 or mv.dst + mv.size > n:
             raise InvalidInstanceError(f"move {mv} leaves the path")
+        seg = set(range(mv.src, mv.src + mv.size))
         if not seg <= current or (mv.src - 1) in current or (mv.src + mv.size) in current:
             raise InvalidInstanceError(f"move {mv} does not lift a whole component")
         rest = current - seg

@@ -15,24 +15,12 @@ multisets; the token rules relate any subsets differing in one vertex.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import (
-    InternalContradictionError,
-    InvalidInstanceError,
-    StateSpaceTooLargeError,
-)
-from .graph import (
-    Configuration,
-    Graph,
-    SizeMultiset,
-    bits_of,
-    is_connected_mask,
-    vertices_of,
-)
+from .errors import InvalidInstanceError
+from .graph import Configuration, Graph, SizeMultiset, is_connected_mask
 
 __all__ = [
     "Rule",
@@ -40,7 +28,6 @@ __all__ = [
     "VerifyResult",
     "verify_sequence",
     "ReconfSequence",
-    "expand_cs_to_cs1",
 ]
 
 
@@ -53,6 +40,8 @@ class Rule(str, Enum):
 
     @classmethod
     def parse(cls, name: str) -> "Rule":
+        if not isinstance(name, str):
+            raise InvalidInstanceError(f"rule must be a string, got {type(name).__name__}")
         try:
             return cls(name.upper())
         except ValueError:
@@ -174,72 +163,3 @@ class ReconfSequence:
     @property
     def length(self) -> int:
         return len(self.states) - 1
-
-
-def expand_cs_to_cs1(
-    g: Graph,
-    u: Configuration | Iterable[int],
-    w: Configuration | Iterable[int],
-    *,
-    max_states: int = 500_000,
-) -> ReconfSequence:
-    """Turn one component slide into single-vertex slides.
-
-    The slid component C morphs into its replacement C' through a
-    breadth-first search over connected |C|-sets inside C | C', so the
-    emitted sequence is a shortest such morph; every other component
-    stays untouched at every step, which keeps each intermediate state's
-    multiset intact.
-    """
-    uc = _as_config(g, u)
-    wc = _as_config(g, w)
-    if not _adjacent_core(
-        g, uc.mask, uc.component_masks, wc.mask, wc.component_masks, Rule.CS
-    ):
-        raise InvalidInstanceError("expansion requires a component-slide move")
-    gone = next(iter(uc.component_masks - wc.component_masks))
-    new = next(iter(wc.component_masks - uc.component_masks))
-    common = uc.mask & ~gone
-    if _adjacent_core(
-        g, uc.mask, uc.component_masks, wc.mask, wc.component_masks, Rule.CS1
-    ):
-        return ReconfSequence(Rule.CS1, (uc.vertices, wc.vertices))
-
-    region = gone | new
-    region_bits = list(bits_of(region))
-    parent: dict[int, int] = {gone: 0}
-    queue = deque((gone,))
-    found = False
-    while queue:
-        x = queue.popleft()
-        if x == new:
-            found = True
-            break
-        for a in bits_of(x):
-            abit = 1 << a
-            stripped = x ^ abit
-            for b in region_bits:
-                bbit = 1 << b
-                if x & bbit:
-                    continue
-                x2 = stripped | bbit
-                if x2 in parent:
-                    continue
-                if not is_connected_mask(g, x2):
-                    continue
-                if not is_connected_mask(g, x | bbit):
-                    continue
-                parent[x2] = x
-                if len(parent) > max_states:
-                    raise StateSpaceTooLargeError(max_states)
-                queue.append(x2)
-    if not found:
-        raise InternalContradictionError(
-            "no single-vertex morph found inside the slide region"
-        )
-    chain = [new]
-    while chain[-1] != gone:
-        chain.append(parent[chain[-1]])
-    chain.reverse()
-    states = tuple(vertices_of(x | common) for x in chain)
-    return ReconfSequence(Rule.CS1, states)

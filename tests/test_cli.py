@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ccreconfig
 from ccreconfig.cli import main
 
 P7_CJ = {
@@ -268,15 +276,21 @@ def test_bad_inputs(tmp_path, capsys):
 
 
 def test_pipe_gen_into_solve():
+    # the children import the package from where this process found it
+    src = str(Path(ccreconfig.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     gen = subprocess.run(
         [sys.executable, "-m", "ccreconfig.cli", "gen", "--kind", "path",
          "--n", "12", "--seed", "9"],
+        env=env,
         capture_output=True,
         text=True,
         check=True,
     )
     solve = subprocess.run(
         [sys.executable, "-m", "ccreconfig.cli", "solve", "-"],
+        env=env,
         input=gen.stdout,
         capture_output=True,
         text=True,
@@ -284,3 +298,139 @@ def test_pipe_gen_into_solve():
     assert solve.returncode in (0, 1)
     report = json.loads(solve.stdout)
     assert report["algorithm"] == "path"
+
+
+def test_verify_chordal_compressed_jumps(tmp_path, capsys):
+    _, inst, _ = run(
+        capsys,
+        ["gen", "--kind", "chordal", "--n", "60", "--size", "2", "--count", "3",
+         "--seed", "4"],
+    )
+    path = write(tmp_path, "i.json", inst)
+    code, report, _ = run(capsys, ["solve", path, "--compressed"])
+    assert code == 0 and report["algorithm"] == "chordal"
+    jumps = report["moves"]
+    assert jumps and all(len(mv) == 2 for mv in jumps)
+    code, outcome, _ = run(capsys, ["verify", path, write(tmp_path, "r.json", report)])
+    assert code == 0 and outcome == {"ok": True, "rule": "CJ", "length": len(jumps)}
+
+    # a target that is not connected is no legal jump
+    src, dst = jumps[0]
+    stray = next(v for v in range(inst["graph"]["n"]) if v not in inst["A"] + inst["B"])
+    bad = dict(report, moves=[[src, [dst[0], stray]]] + jumps[1:])
+    code, outcome, _ = run(capsys, ["verify", path, write(tmp_path, "bad.json", bad)])
+    assert code == 1 and outcome["ok"] is False
+
+    for move in ([src], [src, dst, dst], [src, ["x"]], "jump", [src, 3]):
+        broken = dict(report, moves=[move] + jumps[1:])
+        code, _, err = run(capsys, ["verify", path, write(tmp_path, "m.json", broken)])
+        assert code == 3 and "error" in json.loads(err)
+
+
+GOOD = {"graph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "A": [0], "B": [3],
+        "rule": "CJ"}
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"graph": {"n": 4, "edges": [[0, 1, 2]]}},
+        {"graph": {"n": 4, "edges": "zz"}},
+        {"graph": {"n": "x", "edges": []}},
+        {"graph": {"n": 3.5, "edges": []}},
+        {"graph": {"n": 4, "edges": [[0, True]]}},
+        {"A": ["a", 1]},
+        {"A": 5},
+        {"B": [1.0]},
+        {"rule": 5},
+        {"multiset": ["q"]},
+        {"multiset": [1.0]},
+        {"graph_file": 5},
+    ],
+)
+def test_malformed_instance_exits_3(tmp_path, capsys, patch):
+    inst = write(tmp_path, "i.json", dict(GOOD, **patch))
+    code, report, err = run(capsys, ["solve", inst])
+    assert code == 3 and report is None
+    assert len(err.strip().splitlines()) == 1 and "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("raw", [b"[" * 100_000, b"\xff\xfe{}"])
+def test_undecodable_json_exits_3(tmp_path, capsys, raw):
+    path = tmp_path / "i.json"
+    path.write_bytes(raw)
+    code, report, err = run(capsys, ["solve", str(path)])
+    assert code == 3 and report is None and "cannot read" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [["x"], [[0], [1.7]], {"states": [[0], ["x"]]}, {"states": 5},
+     {"moves": [{"size": 1.5, "from": 0, "to": 3}]}, {"moves": 7},
+     {"states": [[0], [3]], "rule": 5}],
+)
+def test_malformed_sequence_exits_3(tmp_path, capsys, seq):
+    inst = write(tmp_path, "i.json", GOOD)
+    code, report, err = run(capsys, ["verify", inst, write(tmp_path, "s.json", seq)])
+    assert code == 3 and report is None and "error" in json.loads(err)
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 9), st.floats(allow_nan=False),
+    st.text(max_size=3),
+)
+_jsonish = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_vertices = st.lists(st.integers(-1, 9), max_size=5) | _jsonish
+_instances = st.fixed_dictionaries(
+    {
+        "graph": st.fixed_dictionaries(
+            {
+                "n": st.integers(-1, 9) | _jsonish,
+                "edges": st.lists(st.lists(st.integers(-1, 9), max_size=3), max_size=12)
+                | _jsonish,
+            }
+        )
+        | _jsonish,
+        "A": _vertices,
+        "B": _vertices,
+        "rule": st.sampled_from(["TJ", "TS", "CJ", "CS", "CS1", "cs1"]) | _jsonish,
+    },
+    optional={
+        "multiset": st.lists(st.integers(-1, 4), max_size=4) | _jsonish,
+        "graph_file": st.sampled_from([5, None, [], "no-such-graph.txt"]),
+    },
+) | _jsonish
+
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    inst=_instances,
+    flags=st.sampled_from(
+        [[], ["--compressed"], ["--algorithm", "path"], ["--algorithm", "cograph"],
+         ["--algorithm", "chordal", "--fallback", "oracle"], ["--algorithm", "oracle"]]
+    ),
+    seq=st.one_of(_jsonish, st.fixed_dictionaries({"states": _jsonish}),
+                  st.fixed_dictionaries({"moves": _jsonish})),
+)
+def test_arbitrary_input_ends_in_a_documented_exit(inst, flags, seq):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, seq_path = Path(tmp) / "i.json", Path(tmp) / "s.json"
+        path.write_text(json.dumps(inst))
+        seq_path.write_text(json.dumps(seq))
+        for argv in (["solve", str(path), *flags], ["verify", str(path), str(seq_path)]):
+            code, err = _main_quietly(argv)
+            assert code in (0, 1, 2, 3, 4)
+            if err:
+                assert len(err.splitlines()) == 1 and "error" in json.loads(err)

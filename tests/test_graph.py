@@ -17,8 +17,6 @@ from ccreconfig.graph import (
     connected_k_subsets,
     cycle_graph,
     empty_graph,
-    format_graph,
-    induced_subgraph,
     is_chordal,
     is_connected_set,
     mask_of,
@@ -51,7 +49,7 @@ def test_graph_rejects_bad_edges():
 
 def test_parse_graph_round_trip():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    assert parse_graph(format_graph(g)) == g
+    assert parse_graph("5 3\n0 1\n1 2\n3 4\n") == g
     text = "# a comment\n3 2\n0 1\n\n1 2\n"
     assert parse_graph(text) == path_graph(3)
 
@@ -199,18 +197,6 @@ def test_co_components_cross_pairs_adjacent():
                 for u in bi:
                     for v in bj:
                         assert g.has_edge(u, v)
-
-
-def test_induced_subgraph():
-    g = path_graph(5)
-    sub, to_sub, to_orig = induced_subgraph(g, [1, 2, 3])
-    assert sub == path_graph(3)
-    assert to_sub == {1: 0, 2: 1, 3: 2}
-    assert to_orig == (1, 2, 3)
-    sub2, _, _ = induced_subgraph(g, [0, 2, 4])
-    assert sub2 == empty_graph(3)
-    sub3, _, to3 = induced_subgraph(g, [])
-    assert sub3.n == 0 and to3 == ()
 
 
 def test_is_chordal_examples():

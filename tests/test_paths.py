@@ -7,12 +7,10 @@ from ccreconfig import (
     Graph,
     InvalidInstanceError,
     Rule,
-    SubscriptedProfile,
     WrongGraphClassError,
     buffer,
     cc_multiset,
     expand_moves,
-    inversions,
     is_path_graph,
     oracle_solve,
     path_graph,
@@ -62,27 +60,77 @@ def test_size_profile():
     assert size_profile(relabeled, [1, 2, 3]) == [3]
 
 
-def test_subscripted_profile():
-    sub = SubscriptedProfile.from_profile([2, 2, 3, 2])
-    assert sub.entries == ((2, 1), (2, 2), (3, 1), (2, 3))
-    assert sub.ranks[(3, 1)] == 3
-    assert sub.ranks[(2, 3)] == 4
+def _placed(profile, n):
+    """Subset of path_graph(n) with the given profile, packed left."""
+    out, pos = [], 0
+    for size in profile:
+        out.extend(range(pos, pos + size))
+        pos += size + 1
+    assert pos - 1 <= n
+    return out
 
 
-def test_inversions():
-    pa = SubscriptedProfile.from_profile([1, 3])
-    pb = SubscriptedProfile.from_profile([3, 1])
-    assert inversions(pa, pb) == [((1, 1), (3, 1))]
-    same = SubscriptedProfile.from_profile([2, 2])
-    assert inversions(same, same) == []
-    with pytest.raises(InvalidInstanceError):
-        inversions(pa, same)
+def _cj_witness_ok(n, profile_a, profile_b):
+    g = path_graph(n)
+    a, b = _placed(profile_a, n), _placed(profile_b, n)
+    res = solve_path_cj(g, a, b)
+    if res.reachable:
+        k = len(profile_a)
+        assert len(res.moves) <= 3 * k * k + 2 * k
+        seq = expand_moves(g, a, res.moves, Rule.CJ)
+        assert seq.states[-1] == tuple(b)
+        assert verify_sequence(g, seq.states, cc_multiset(g, a), rule=Rule.CJ)
+    return res
+
+
+def test_cj_blocks_only_pairs_above_buffer():
+    # buffer = n - occupied - k
+    assert _cj_witness_ok(7, [1, 3], [3, 1]).reachable  # buffer 1 holds the 1
+    assert not _cj_witness_ok(6, [1, 3], [3, 1]).reachable  # buffer 0
+    assert not _cj_witness_ok(8, [2, 3], [3, 2]).reachable  # buffer 1 < 2
+    assert _cj_witness_ok(9, [2, 3], [3, 2]).reachable  # buffer 2
+    assert _cj_witness_ok(6, [2, 2], [2, 2]).reachable  # same order, buffer 0
+    assert _cj_witness_ok(6, [1, 3], [2, 2]).reason == "multiset-mismatch"
 
 
 def test_equal_sizes_never_invert():
-    pa = SubscriptedProfile.from_profile([2, 1, 2, 2])
-    pb = SubscriptedProfile.from_profile([2, 2, 1, 2])
-    assert all(x[0] != y[0] for x, y in inversions(pa, pb))
+    # equal sizes never swap with each other, so only the 1 must pass
+    # the 2s, and a buffer of 1 is enough
+    assert _cj_witness_ok(12, [2, 1, 2, 2], [2, 2, 1, 2]).reachable
+    assert not _cj_witness_ok(11, [2, 1, 2, 2], [2, 2, 1, 2]).reachable
+
+
+def test_cj_reorders_around_equal_sizes():
+    # tagging keeps the three 2s in order while the 3 moves left
+    assert _cj_witness_ok(15, [2, 2, 3, 2], [3, 2, 2, 2]).reachable
+
+
+def _blocked_pair(profile_a, profile_b, free):
+    """Some pair of components appears in the other order in profile_b
+    (equal sizes matched by occurrence) and neither fits the buffer."""
+
+    def tagged(profile):
+        return [(s, profile[:i].count(s)) for i, s in enumerate(profile)]
+
+    ta = tagged(profile_a)
+    rank = {e: i for i, e in enumerate(tagged(profile_b))}
+    return any(
+        rank[x] > rank[y] and min(x[0], y[0]) > free
+        for i, x in enumerate(ta)
+        for y in ta[i + 1 :]
+    )
+
+
+def test_cj_decision_matches_pairwise_rule():
+    for n in range(4, 13):
+        for k in range(1, 4):
+            for sizes in itertools.product(range(1, 4), repeat=k):
+                if sum(sizes) + k - 1 > n:
+                    continue
+                free = n - sum(sizes) - k
+                for perm in set(itertools.permutations(sizes)):
+                    res = _cj_witness_ok(n, list(sizes), list(perm))
+                    assert res.reachable != _blocked_pair(sizes, perm, free)
 
 
 def test_buffer():

@@ -9,18 +9,14 @@ from ccreconfig.errors import InvalidInstanceError
 from ccreconfig.graph import (
     Configuration,
     cc_multiset,
-    connected_components,
-    connected_k_subsets,
     mask_of,
     path_graph,
     touches,
-    vertices_of,
 )
 from ccreconfig.rules import (
     ReconfSequence,
     Rule,
     adjacent,
-    expand_cs_to_cs1,
     verify_sequence,
 )
 
@@ -156,81 +152,6 @@ def test_verify_single_state_sequence():
     g = path_graph(3)
     assert verify_sequence(g, [[0, 1]], [2], Rule.CS).ok
     assert not verify_sequence(g, [[0, 1]], [1, 1], Rule.CS).ok
-
-
-def test_expand_direct_slide():
-    g = path_graph(4)
-    seq = expand_cs_to_cs1(g, [0, 1], [2, 3])
-    assert seq.rule is Rule.CS1
-    assert seq.states == ((0, 1), (1, 2), (2, 3))
-    assert seq.length == 2
-    assert verify_sequence(g, seq.states, [2], Rule.CS1).ok
-
-
-def test_expand_keeps_other_components_fixed():
-    g = path_graph(6)
-    seq = expand_cs_to_cs1(g, [0, 1, 5], [2, 3, 5])
-    assert seq.states == ((0, 1, 5), (1, 2, 5), (2, 3, 5))
-    for state in seq.states:
-        assert 5 in state
-
-
-def test_expand_trivial_when_already_single_vertex():
-    g = path_graph(5)
-    seq = expand_cs_to_cs1(g, [0, 1, 3], [0, 1, 4])
-    assert seq.states == ((0, 1, 3), (0, 1, 4))
-
-
-def test_expand_rejects_non_slide():
-    g = path_graph(6)
-    with pytest.raises(InvalidInstanceError):
-        expand_cs_to_cs1(g, [0, 1, 3], [0, 1, 5])  # jump, not slide
-    with pytest.raises(InvalidInstanceError):
-        expand_cs_to_cs1(g, [0, 1], [0, 1])
-
-
-def _random_cs_pairs(rng, count):
-    """Yield (graph, u, w) with u,w adjacent under the component slide."""
-    made = 0
-    while made < count:
-        g = helpers.random_connected_graph(rng, rng.randint(3, 7))
-        u = [v for v in range(g.n) if rng.random() < 0.45]
-        comps = connected_components(g, u)
-        if not comps:
-            continue
-        c = comps[rng.randrange(len(comps))]
-        rest = [v for v in u if v not in c]
-        rest_set = set(rest)
-        for cand in connected_k_subsets(g, len(c)):
-            cvs = vertices_of(cand)
-            if set(cvs) == set(c) or (set(cvs) & rest_set):
-                continue
-            w = sorted(rest + list(cvs))
-            if cc_multiset(g, w) != cc_multiset(g, u):
-                continue
-            if adjacent(g, u, w, Rule.CS):
-                yield g, sorted(u), w
-                made += 1
-                break
-
-
-def test_expand_property_random():
-    rng = random.Random(43)
-    for g, u, w in _random_cs_pairs(rng, 60):
-        seq = expand_cs_to_cs1(g, u, w)
-        assert seq.states[0] == tuple(u)
-        assert seq.states[-1] == tuple(w)
-        assert verify_sequence(g, seq.states, cc_multiset(g, u), Rule.CS1).ok
-        moved = set(u) ^ set(w)
-        comps_u = {c for c in connected_components(g, u)}
-        comps_w = {c for c in connected_components(g, w)}
-        untouched = comps_u & comps_w
-        for state in seq.states:
-            sset = set(state)
-            for c in untouched:
-                assert set(c) <= sset
-        if not moved:
-            assert seq.length == 0
 
 
 def test_reconf_sequence_length():
