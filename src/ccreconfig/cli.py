@@ -25,7 +25,15 @@ from .errors import (
     WrongGraphClassError,
 )
 from .generators import gen_chordal_instance, gen_cograph_instance, gen_path_instance
-from .graph import Graph, SizeMultiset, _clean_subset, cc_multiset, is_chordal, parse_graph
+from .graph import (
+    Graph,
+    SizeMultiset,
+    _check_vertex_count,
+    _clean_subset,
+    cc_multiset,
+    is_chordal,
+    parse_graph,
+)
 from .oracle import DEFAULT_STATE_CAP, build_reconfig_graph, export_dot, oracle_solve
 from .paths import CompressedMove, expand_moves, is_path_graph, solve_path_cj, solve_path_cs
 from .rules import Rule, verify_sequence
@@ -70,6 +78,7 @@ def _instance_graph(obj: dict) -> Graph:
         raise InvalidInstanceError('instance needs "graph" {n, edges} or "graph_file"')
     if type(payload["n"]) is not int:
         raise InvalidInstanceError('"n" must be an integer')
+    _check_vertex_count(payload["n"])
     edges = payload.get("edges", [])
     if type(edges) is not list or not all(
         type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from collections import deque
+from collections import Counter, deque
 from typing import Iterable
 
 from .errors import (
@@ -30,7 +30,6 @@ from .graph import (
     Graph,
     _clean_subset,
     cc_multiset,
-    co_components,
     connected_components,
     is_connected_set,
 )
@@ -58,30 +57,130 @@ class CotreeNode:
 
 
 def _build_cotree(g: Graph) -> CotreeNode | None:
-    """Cotree of g by repeated splitting into components and
-    co-components, or None if g is not a cograph."""
+    """Cotree of g, or None if g is not a cograph.
 
-    def build(region: tuple[int, ...]) -> CotreeNode | None:
-        if len(region) == 1:
-            return CotreeNode("leaf", region)
-        parts = connected_components(g, region)
-        kind = "union"
-        if len(parts) == 1:
-            parts = co_components(g, region)
-            kind = "join"
-            if len(parts) == 1:
-                return None
-        children = []
-        for part in parts:
-            child = build(part)
-            if child is None:
-                return None
-            children.append(child)
-        return CotreeNode(kind, region, tuple(children))
-
-    if g.n == 0:
+    Incremental recognition after Corneil, Perl and Stewart ("A linear
+    recognition algorithm for cographs", SIAM J. Comput. 14(4), 1985).
+    Vertices go in by increasing id, x into the cotree of 0..x-1 in
+    O(1 + its neighbours there): a node is full when all its leaves are
+    neighbours of x and partial when only some are.  The graph stays a
+    cograph iff the partial nodes form one path down from the root on
+    which every join node has all other children full and every union
+    node all other children empty; x then goes in at the lowest partial
+    node.  The whole build is O(n + m) and uses no recursion.
+    """
+    n = g.n
+    if n == 0:
         return CotreeNode("union", ())
-    return build(tuple(range(g.n)))
+    # nodes 0..n-1 are the leaves, node n sits above the root, inner
+    # nodes are numbered from n + 1 on
+    top = n
+    parent = [top] + [-1] * n
+    kind = ["leaf"] * n + ["top"]
+    children: dict[int, set[int]] = {top: {0}}
+
+    def splice(old: int, k: str, kids) -> int:
+        """A new k node over kids takes the place of old."""
+        up = parent[old]
+        children[up].discard(old)
+        w = len(kind)
+        kind.append(k)
+        parent.append(up)
+        children[up].add(w)
+        children[w] = set(kids)
+        for c in kids:
+            parent[c] = w
+        return w
+
+    def grow(c: int, k: str, x: int) -> None:
+        """Hang x under c if c is a k node, else pair them under one."""
+        if kind[c] == k:
+            parent[x] = c
+            children[c].add(x)
+        else:
+            splice(c, k, (c, x))
+
+    placed: set[int] = set()
+    for x in range(1, n):
+        placed.add(x - 1)
+        marked = g.adj[x] & placed  # the full leaves
+        if len(marked) in (0, x):
+            (root,) = children[top]
+            grow(root, "join" if marked else "union", x)
+            continue
+        # touched node -> its full children, counted in bulk for leaves
+        full = Counter(map(parent.__getitem__, marked))
+        inner: dict[int, list[int]] = {}  # node -> its full inner children
+        rising = [w for w, count in full.items() if count == len(children[w])]
+        for c in rising:  # grows as nodes turn full
+            w = parent[c]
+            count = full[w] = full.get(w, 0) + 1
+            inner.setdefault(w, []).append(c)
+            if count == len(children[w]):
+                rising.append(w)
+        below: dict[int, int] = {}  # partial node -> its partial children
+        for p, count in full.items():
+            if count == len(children[p]) or p in below:
+                continue
+            below[p] = 0
+            w = p
+            while parent[w] != top:
+                w = parent[w]
+                wanted = len(children[w]) - 1 if kind[w] == "join" else 0
+                seen = below.get(w)
+                if full.get(w, 0) != wanted or seen:
+                    return None
+                below[w] = 1
+                if seen is not None:  # an earlier start: walked from here
+                    break
+        u = next(p for p, count in below.items() if count == 0)
+        kids = [*children[u].intersection(marked), *inner.get(u, ())]
+        if kind[u] == "join":
+            if len(kids) == len(children[u]) - 1:
+                (c,) = children[u].difference(kids)
+                grow(c, "union", x)
+            else:
+                # the empty children stay joined in u, beside x under a
+                # new union that the full children join
+                children[u].difference_update(kids)
+                lone = splice(u, "union", (u, x))
+                splice(lone, "join", (*kids, lone))
+        elif len(kids) == 1:
+            grow(kids[0], "join", x)
+        else:
+            # the full children go under a new union that x joins
+            children[u].difference_update(kids)
+            grouped = splice(kids[0], "union", kids)
+            splice(grouped, "join", (grouped, x))
+
+    # Handing each vertex, in increasing order, to all its ancestors
+    # gives sorted vertex tuples, and children ordered by lowest vertex
+    # when a node is listed under its parent on its first visit.  The
+    # total work is the sum of the node sizes, O(n + m) on a cograph.
+    members: dict[int, list[int]] = {w: [] for w in children}
+    ordered: dict[int, list[int]] = {w: [] for w in children}
+    for v in range(n):
+        w = parent[v]
+        ordered[w].append(v)
+        while w != top:
+            got = members[w]
+            if not got:
+                ordered[parent[w]].append(w)
+            got.append(v)
+            w = parent[w]
+    (root,) = ordered[top]
+    order = [root]
+    for w in order:  # parents before children
+        order.extend(ordered.get(w, ()))
+    built: dict[int, CotreeNode] = {}
+    for w in reversed(order):
+        if w < n:
+            built[w] = CotreeNode("leaf", (w,))
+        else:
+            built[w] = CotreeNode(
+                kind[w], tuple(members[w]), tuple(built[c] for c in ordered[w])
+            )
+    return built[root]
 
 
 def decompose_cograph(g: Graph) -> CotreeNode | None:
@@ -253,42 +352,34 @@ def solve_cograph_cs(
     va = frozenset(_clean_subset(g, a))
     vb = frozenset(_clean_subset(g, b))
 
-    failure = None
-
-    def solve(node: CotreeNode, xa: frozenset[int], xb: frozenset[int]):
-        nonlocal failure
-        if xa == xb:
-            return [xa]
-        if cc_multiset(g, xa) != cc_multiset(g, xb):
-            failure = "multiset-mismatch"
-            return None
-        if node.kind == "union":
-            states = [xa]
-            done: frozenset[int] = frozenset()
-            todo = xa
-            for child in node.children:
-                block = frozenset(child.vertices)
-                sub = solve(child, xa & block, xb & block)
-                if sub is None:
-                    return None
-                todo = todo - block
-                for step in sub[1:]:
-                    states.append(done | step | todo)
-                done = done | (xb & block)
-            return states
-        # two distinct sets with one multiset do not fit in a leaf, so
-        # this is a join node
-        if len(connected_components(g, xa)) == 1:
-            return _one_component_states(g, node, xa, xb, variant)
-        home = _co_part_of(node, xa)
-        if home is not _co_part_of(node, xb):
-            failure = "co-component-mismatch"
-            return None
-        return solve(home, xa, xb)
-
-    states = solve(root, va, vb)
-    if states is None:
-        return CographSolveResult(variant, False, reason=failure)
+    # Depth first over the cotree, children in order: a union node hands
+    # each child its own part, a join node either moves a single
+    # component there or passes both sets down to the co-component that
+    # holds them.  Parts not reached yet still hold A and finished parts
+    # hold B, so each step changes the current state inside one region.
+    states = [va]
+    pending = [(root, va, vb)]
+    while pending:
+        node, xa, xb = pending.pop()
+        while xa != xb:
+            if cc_multiset(g, xa) != cc_multiset(g, xb):
+                return CographSolveResult(variant, False, reason="multiset-mismatch")
+            if node.kind == "union":
+                for child in reversed(node.children):
+                    block = frozenset(child.vertices)
+                    pending.append((child, xa & block, xb & block))
+                break
+            # two distinct sets with one multiset do not fit in a leaf, so
+            # this is a join node
+            if len(connected_components(g, xa)) == 1:
+                rest = states[-1] - xa
+                steps = _one_component_states(g, node, xa, xb, variant)
+                states.extend(rest | step for step in steps[1:])
+                break
+            home = _co_part_of(node, xa)
+            if home is not _co_part_of(node, xb):
+                return CographSolveResult(variant, False, reason="co-component-mismatch")
+            node = home
     return CographSolveResult(
         variant, True, tuple(tuple(sorted(s)) for s in states)
     )

@@ -21,6 +21,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Graph",
+    "MAX_VERTICES",
     "SizeMultiset",
     "Configuration",
     "path_graph",
@@ -41,6 +42,19 @@ __all__ = [
     "is_chordal",
     "connected_k_subsets",
 ]
+
+
+# Largest vertex count read from an instance or a graph file.  Checked
+# before anything is allocated: a Graph holds two sets per vertex, about
+# 465 MB at this size before the first edge.
+MAX_VERTICES = 1_000_000
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise InvalidInstanceError(
+            f"vertex count {n} exceeds the limit of {MAX_VERTICES}"
+        )
 
 
 class Graph:
@@ -171,6 +185,7 @@ def parse_graph(text: str) -> Graph:
         raise InvalidInstanceError(f"line {lineno}: header must be two ints") from None
     if n < 0 or m < 0:
         raise InvalidInstanceError(f"line {lineno}: negative counts in header")
+    _check_vertex_count(n)
     if len(rows) - 1 != m:
         raise InvalidInstanceError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []

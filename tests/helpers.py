@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from ccreconfig.graph import Graph
+from ccreconfig.cographs import CotreeNode
+from ccreconfig.graph import Graph, co_components, connected_components
 
 
 def all_edge_sets(n: int):
@@ -26,6 +27,13 @@ def all_graphs(n: int):
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n, edges)
+
+
+def threshold_graph(n: int) -> Graph:
+    """Alternately add an isolated and a dominating vertex: one cotree
+    level per vertex."""
+    edges = [(u, v) for v in range(n) if v % 2 for u in range(v)]
     return Graph(n, edges)
 
 
@@ -112,3 +120,32 @@ def has_induced_p4(g: Graph) -> bool:
         if counts == [1, 1, 2, 2] and is_connected_bf(g, sub):
             return True
     return False
+
+
+def naive_cotree(g: Graph) -> CotreeNode | None:
+    """Cotree by splitting every region afresh into its components or,
+    when connected, its co-components; None if some region with two or
+    more vertices splits neither way.  Recursive, O(depth * m): the
+    reference the linear build is compared against."""
+
+    def build(region: tuple[int, ...]) -> CotreeNode | None:
+        if len(region) == 1:
+            return CotreeNode("leaf", region)
+        parts = connected_components(g, region)
+        kind = "union"
+        if len(parts) == 1:
+            parts = co_components(g, region)
+            kind = "join"
+            if len(parts) == 1:
+                return None
+        children = []
+        for part in parts:
+            child = build(part)
+            if child is None:
+                return None
+            children.append(child)
+        return CotreeNode(kind, region, tuple(children))
+
+    if g.n == 0:
+        return CotreeNode("union", ())
+    return build(tuple(range(g.n)))

@@ -12,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccreconfig
+from ccreconfig import Rule, verify_sequence
 from ccreconfig.cli import main
+
+from helpers import threshold_graph
 
 P7_CJ = {
     "graph": {"n": 7, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6]]},
@@ -361,6 +364,66 @@ def test_undecodable_json_exits_3(tmp_path, capsys, raw):
     path.write_bytes(raw)
     code, report, err = run(capsys, ["solve", str(path)])
     assert code == 3 and report is None and "cannot read" in json.loads(err)["error"]
+
+
+def test_huge_vertex_count_exits_3(tmp_path, capsys):
+    # rejected before the graph is allocated, not a MemoryError
+    inst = tmp_path / "i.json"
+    inst.write_text('{"graph": {"n": 100000000, "edges": []}, "A": [], "B": [], "rule": "CS"}')
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text("100000000 0\n")
+    from_file = write(tmp_path, "f.json", {"graph_file": str(graph_file), "A": [], "B": [],
+                                           "rule": "CS"})
+    for path in (str(inst), from_file):
+        code, report, err = run(capsys, ["solve", path])
+        assert code == 3 and report is None
+        assert len(err.splitlines()) == 1 and "limit" in json.loads(err)["error"]
+
+
+DEEP_N = 1600  # cotree levels, above the default recursion limit of 1000
+
+
+@pytest.fixture(scope="module")
+def deep_graph(tmp_path_factory):
+    g = threshold_graph(DEEP_N)
+    path = tmp_path_factory.mktemp("deep") / "threshold.txt"
+    path.write_text(f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+    return g, str(path)
+
+
+def test_deep_cotree_is_one_level_per_vertex(deep_graph):
+    g, _ = deep_graph
+    node, levels = g.cotree, 0
+    while node.kind != "leaf":
+        assert node.kind == ("union" if levels % 2 else "join")
+        assert node.vertices == tuple(range(DEEP_N - levels))
+        node = node.children[0]  # the part holding vertex 0 lies deeper
+        levels += 1
+    assert levels == DEEP_N - 1
+
+
+# Slide walks whose every move also exchanges a single vertex.  The
+# component {0, 1} moves once at the root; the singletons {0} and {2}
+# keep A and B apart down to the deepest cotree level.
+DEEP_WALKS = {
+    "one-component": [[0, 1], [0, 3], [2, 3]],
+    "four-components": [[0, 2, 1000, 1598], [1, 2, 1000, 1598]],
+}
+
+
+@pytest.mark.parametrize("rule", ["CS", "CS1"])
+@pytest.mark.parametrize("walk", DEEP_WALKS.values(), ids=DEEP_WALKS)
+def test_deep_cotree_solve(tmp_path, capsys, deep_graph, rule, walk):
+    g, graph_file = deep_graph
+    assert verify_sequence(g, walk, rule=Rule(rule))
+    inst = write(tmp_path, "i.json", {"graph_file": graph_file, "A": walk[0],
+                                      "B": walk[-1], "rule": rule})
+    code, report, err = run(capsys, ["solve", inst])
+    assert code == 0 and err == ""
+    assert report["answer"] == "yes" and report["algorithm"] == "cograph"
+    states = report["states"]
+    assert states[0] == walk[0] and states[-1] == walk[-1]
+    assert verify_sequence(g, states, rule=Rule(rule))
 
 
 @pytest.mark.parametrize(

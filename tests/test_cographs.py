@@ -21,9 +21,10 @@ from ccreconfig import (
     solve_cograph_cs,
     verify_sequence,
 )
+from ccreconfig.generators import random_cotree_graph
 from ccreconfig.oracle import enumerate_states
 
-from helpers import all_graphs, has_induced_p4, random_graph
+from helpers import all_graphs, has_induced_p4, naive_cotree, random_graph
 
 TWO_TRIANGLES = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
 # two disjoint edges joined to everything across, plus a fifth vertex
@@ -59,6 +60,37 @@ def test_is_cograph_matches_induced_path_search():
     for _ in range(300):
         g = random_graph(rng, rng.randint(5, 7), rng.choice([0.2, 0.5, 0.8]))
         assert is_cograph(g) == (not has_induced_p4(g))
+
+
+def assert_same_cotree(got, want):
+    """Walk both trees side by side without recursion: the same kind,
+    vertices and child order at every node."""
+    assert (got is None) == (want is None)
+    pairs = [(got, want)] if got is not None else []
+    for x, y in pairs:
+        assert (x.kind, x.vertices, len(x.children)) == (y.kind, y.vertices, len(y.children))
+        pairs.extend(zip(x.children, y.children))
+
+
+def test_cotree_matches_naive_build():
+    rng = random.Random(5)
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    graphs += [
+        random_graph(rng, rng.randint(6, 9), rng.choice([0.2, 0.5, 0.8]))
+        for _ in range(300)
+    ]
+    for g in graphs:
+        got = decompose_cograph(g)
+        assert (got is None) == has_induced_p4(g)
+        assert_same_cotree(got, naive_cotree(g))
+    for _ in range(200):
+        n = rng.randint(1, 60)
+        g = random_cotree_graph(rng, n, connected=rng.random() < 0.5)
+        relabel = rng.sample(range(n), n)
+        h = Graph(n, [(relabel[u], relabel[v]) for u, v in g.edges])
+        got = decompose_cograph(h)
+        assert got is not None
+        assert_same_cotree(got, naive_cotree(h))
 
 
 def test_one_component_cs_distances():
