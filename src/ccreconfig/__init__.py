@@ -20,14 +20,11 @@ from .chordal import (
     ConflictGraph,
     EqualSizeResult,
     build_conflict_graph,
-    solve_chordal_cj,
     solve_equal_size_cj,
 )
 from .cographs import (
     CographSolveResult,
     CotreeNode,
-    cs1_distance_one_component,
-    cs_distance_one_component,
     decompose_cograph,
     is_cograph,
     solve_cograph_cs,
@@ -45,7 +42,6 @@ from .graph import (
     is_chordal,
     parse_graph,
     path_graph,
-    touches,
 )
 from .oracle import (
     OracleResult,
@@ -65,7 +61,6 @@ from .paths import (
     expand_moves,
     is_path_graph,
     path_order,
-    size_profile,
     solve_path_cj,
     solve_path_cs,
 )

@@ -18,12 +18,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    InternalContradictionError,
-    UnequalSizesError,
-    WrongGraphClassError,
-)
-from .graph import Graph, _clean_subset, connected_components, is_chordal
+from .errors import InternalContradictionError, UnequalSizesError
+from .graph import Graph, _clean_subset, connected_components
 from .rules import Rule
 
 __all__ = [
@@ -31,7 +27,6 @@ __all__ = [
     "build_conflict_graph",
     "EqualSizeResult",
     "solve_equal_size_cj",
-    "solve_chordal_cj",
 ]
 
 
@@ -186,22 +181,3 @@ def solve_equal_size_cj(
             trace.append(tuple(sorted(current)))
         states = tuple(trace)
     return EqualSizeResult(Rule.CJ, "yes", jumps, states, cg)
-
-
-def solve_chordal_cj(
-    g: Graph,
-    a: Iterable[int],
-    b: Iterable[int],
-    *,
-    want_states: bool = True,
-) -> EqualSizeResult:
-    """Equal-size jump solver specialized to chordal host graphs, where
-    the conflict graph is guaranteed to be a forest."""
-    if not is_chordal(g):
-        raise WrongGraphClassError("graph is not chordal")
-    res = solve_equal_size_cj(g, a, b, want_states=want_states)
-    if res.answer == "unknown":
-        raise InternalContradictionError(
-            "cyclic conflict graph on a chordal instance"
-        )
-    return res

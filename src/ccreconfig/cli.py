@@ -113,16 +113,6 @@ def _load_instance(path: str, rule_flag: str | None):
     return g, a, b, rule, ma, mb
 
 
-def _pick_algorithm(g: Graph, rule: Rule, multiset: SizeMultiset) -> str:
-    if rule in (Rule.CS, Rule.CJ) and is_path_graph(g):
-        return "path"
-    if rule in (Rule.CS, Rule.CS1) and is_cograph(g):
-        return "cograph"
-    if rule is Rule.CJ and len(set(multiset)) <= 1 and is_chordal(g):
-        return "chordal"
-    return "oracle"
-
-
 def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2))
 
@@ -132,46 +122,48 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _run_algorithm(algorithm, g, a, b, rule, args):
-    """Returns (answer, states, moves, reason, extra_stats)."""
-    if algorithm == "path":
-        if rule is Rule.CS:
-            res = solve_path_cs(g, a, b)
-        elif rule is Rule.CJ:
-            res = solve_path_cj(g, a, b)
-        else:
-            raise InvalidInstanceError("path algorithm handles CS and CJ only")
-        if not res.reachable:
-            return "no", None, None, res.reason, {}
-        moves = [mv.to_json() for mv in res.moves]
-        states = None
-        if not args.compressed:
-            states = expand_moves(g, a, res.moves, rule).states
-        return "yes", states, moves, None, {}
-    if algorithm == "cograph":
-        if rule not in (Rule.CS, Rule.CS1):
-            raise InvalidInstanceError("cograph algorithm handles CS and CS1 only")
-        res = solve_cograph_cs(g, a, b, variant=rule)
-        if not res.reachable:
-            return "no", None, None, res.reason, {}
-        return "yes", res.states, None, None, {}
-    if algorithm == "chordal":
-        # sound on any host: a yes comes with its schedule, and a cyclic
-        # conflict graph (impossible when the host is chordal) stays
-        # undecided instead of guessing
-        if rule is not Rule.CJ:
-            raise InvalidInstanceError("chordal algorithm handles CJ only")
-        res = solve_equal_size_cj(g, a, b, want_states=not args.compressed)
-        if res.answer == "yes":
-            moves = [[list(src), list(dst)] for src, dst in res.jumps]
-            return "yes", res.states, moves, None, {}
+def _run_path(g, a, b, rule, args):
+    res = (solve_path_cs if rule is Rule.CS else solve_path_cj)(g, a, b)
+    if not res.reachable:
+        return "no", None, None, res.reason, {}
+    states = None if args.compressed else expand_moves(g, a, res.moves, rule).states
+    return "yes", states, [mv.to_json() for mv in res.moves], None, {}
+
+
+def _run_cograph(g, a, b, rule, args):
+    res = solve_cograph_cs(g, a, b, variant=rule)
+    return ("yes" if res.reachable else "no"), res.states, None, res.reason, {}
+
+
+def _run_chordal(g, a, b, rule, args):
+    # sound on any host: a yes comes with its schedule, and a cyclic
+    # conflict graph (impossible when the host is chordal) stays
+    # undecided instead of guessing
+    res = solve_equal_size_cj(g, a, b, want_states=not args.compressed)
+    if res.answer != "yes":
         return res.answer, None, None, res.reason, {}
+    return "yes", res.states, [[list(src), list(dst)] for src, dst in res.jumps], None, {}
+
+
+def _run_oracle(g, a, b, rule, args):
     res = oracle_solve(g, a, b, rule=rule, state_cap=args.state_cap)
-    answer = "yes" if res.reachable else "no"
     extra = {"space": res.space_size}
     if res.reachable:
         extra["distance"] = res.distance
-    return answer, res.states, None, res.reason, extra
+    return ("yes" if res.reachable else "no"), res.states, None, res.reason, extra
+
+
+# algorithm -> (rules it decides, class test on (graph, multiset), runner
+# returning (answer, states, moves, reason, extra stats)).  `auto` takes
+# the first entry whose rules hold the rule and whose class test passes.
+# Class tests and runners look the solvers up by module name when they
+# run, so a rebound module attribute (a timing wrapper) is what they call.
+SOLVERS = {
+    "path": ((Rule.CS, Rule.CJ), lambda g, ms: is_path_graph(g), _run_path),
+    "cograph": ((Rule.CS, Rule.CS1), lambda g, ms: is_cograph(g), _run_cograph),
+    "chordal": ((Rule.CJ,), lambda g, ms: len(set(ms)) <= 1 and is_chordal(g), _run_chordal),
+    "oracle": (tuple(Rule), lambda g, ms: True, _run_oracle),
+}
 
 
 def _cmd_solve(args) -> int:
@@ -187,26 +179,27 @@ def _cmd_solve(args) -> int:
             }
         )
         return EXIT_NO
-    algorithm = args.algorithm
-    if algorithm == "auto":
-        algorithm = _pick_algorithm(g, rule, ma)
+    chosen = args.algorithm
+    if chosen == "auto":
+        chosen = next(name for name, (rules, fits, _) in SOLVERS.items()
+                      if rule in rules and fits(g, ma))
+    plan = [chosen] if args.fallback == "none" or chosen == "oracle" else [chosen, "oracle"]
     start = time.perf_counter()
-    try:
-        answer, states, moves, reason, extra = _run_algorithm(
-            algorithm, g, a, b, rule, args
-        )
-    except (WrongGraphClassError, UnequalSizesError, InvalidInstanceError):
-        if args.fallback != "oracle" or algorithm == "oracle":
-            raise
-        algorithm = "oracle"
-        answer, states, moves, reason, extra = _run_algorithm(
-            algorithm, g, a, b, rule, args
-        )
-    if answer == "unknown" and args.fallback == "oracle":
-        algorithm = "oracle"
-        answer, states, moves, reason, extra = _run_algorithm(
-            algorithm, g, a, b, rule, args
-        )
+    for algorithm in plan:
+        rules, _, run = SOLVERS[algorithm]
+        try:
+            if rule not in rules:
+                raise InvalidInstanceError(
+                    f"{algorithm} algorithm handles "
+                    f"{' and '.join(r.value for r in rules)} only"
+                )
+            answer, states, moves, reason, extra = run(g, a, b, rule, args)
+        except (WrongGraphClassError, UnequalSizesError, InvalidInstanceError):
+            if algorithm == plan[-1]:
+                raise
+            continue
+        if answer != "unknown":
+            break
     elapsed = time.perf_counter() - start
 
     length = None
@@ -234,13 +227,6 @@ def _cmd_solve(args) -> int:
             fh.write(export_dot(rg))
     _emit(report)
     return _ANSWER_CODES[answer]
-
-
-def _cmd_oracle(args) -> int:
-    args.algorithm = "oracle"
-    args.fallback = "none"
-    args.compressed = False
-    return _cmd_solve(args)
 
 
 def _state_list(value: Any) -> list[tuple[int, ...]]:
@@ -357,7 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exhaustive search, always exact")
     add_common(p_oracle)
-    p_oracle.set_defaults(func=_cmd_oracle)
+    p_oracle.set_defaults(
+        func=_cmd_solve, algorithm="oracle", fallback="none", compressed=False
+    )
 
     p_verify = sub.add_parser("verify", help="check a sequence against an instance")
     p_verify.add_argument("instance")

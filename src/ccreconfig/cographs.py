@@ -39,21 +39,24 @@ __all__ = [
     "CotreeNode",
     "decompose_cograph",
     "is_cograph",
-    "cs_distance_one_component",
-    "cs1_distance_one_component",
     "CographSolveResult",
     "solve_cograph_cs",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CotreeNode:
     """Node of the recursive decomposition: a single vertex, a split
-    into connected parts, or a split into co-components."""
+    into connected parts, or a split into co-components.  Nodes compare
+    and hash by identity, and the repr only counts the children, so none
+    of the three recurses down a deep cotree."""
 
     kind: str  # "leaf" | "union" | "join"
     vertices: tuple[int, ...]
     children: tuple["CotreeNode", ...] = ()
+
+    def __repr__(self) -> str:
+        return f"CotreeNode({self.kind!r}, {self.vertices}, {len(self.children)} children)"
 
 
 def _build_cotree(g: Graph) -> CotreeNode | None:
@@ -275,46 +278,6 @@ def _one_component_states(
         cur = nxt
         states.append(cur)
     return states
-
-
-def cs_distance_one_component(g: Graph, x: Iterable[int], y: Iterable[int]) -> int:
-    """Slide distance between two connected equal-size sets in a
-    connected cograph: always 0, 1, or 2."""
-    states = _one_component_prepared(g, x, y, Rule.CS)
-    return len(states) - 1
-
-
-def cs1_distance_one_component(g: Graph, x: Iterable[int], y: Iterable[int]) -> int:
-    """One-exchange slide distance between two connected equal-size sets
-    in a connected cograph."""
-    xs, ys = frozenset(_clean_subset(g, x)), frozenset(_clean_subset(g, y))
-    _require_one_component_instance(g, xs, ys)
-    if xs == ys:
-        return 0
-    if is_connected_set(g, xs | ys):
-        return len(xs - ys)
-    return len(xs - ys) + 1
-
-
-def _require_one_component_instance(
-    g: Graph, xs: frozenset[int], ys: frozenset[int]
-) -> None:
-    if not is_connected_set(g, xs) or not is_connected_set(g, ys):
-        raise InvalidInstanceError("both sets must induce a single component")
-    if len(xs) != len(ys):
-        raise InvalidInstanceError("sets must have the same size")
-    if len(connected_components(g, range(g.n))) != 1:
-        raise InvalidInstanceError("graph must be connected")
-    if not is_cograph(g):
-        raise NotACographError("graph contains an induced four-vertex path")
-
-
-def _one_component_prepared(
-    g: Graph, x: Iterable[int], y: Iterable[int], variant: Rule
-) -> list[frozenset[int]]:
-    xs, ys = frozenset(_clean_subset(g, x)), frozenset(_clean_subset(g, y))
-    _require_one_component_instance(g, xs, ys)
-    return _one_component_states(g, decompose_cograph(g), xs, ys, variant)
 
 
 @dataclass(frozen=True)

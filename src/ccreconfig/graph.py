@@ -37,7 +37,6 @@ __all__ = [
     "is_connected_set",
     "is_connected_mask",
     "cc_multiset",
-    "touches",
     "co_components",
     "is_chordal",
     "connected_k_subsets",
@@ -354,20 +353,6 @@ class Configuration:
         return f"Configuration({list(self.vertices)})"
 
 
-def touches(g: Graph, u: Iterable[int], w: Iterable[int]) -> bool:
-    """True iff the union of the two connected sets is connected.
-
-    Overlapping sets touch; so do disjoint sets joined by an edge.
-    """
-    us = _clean_subset(g, u)
-    ws = _clean_subset(g, w)
-    if not is_connected_set(g, us):
-        raise InvalidInstanceError(f"touches: first set {list(us)} is not connected")
-    if not is_connected_set(g, ws):
-        raise InvalidInstanceError(f"touches: second set {list(ws)} is not connected")
-    return is_connected_set(g, set(us) | set(ws))
-
-
 def co_components(g: Graph, subset: Iterable[int] | None = None) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components of the complement of
     G[subset] (the whole graph when subset is None).
@@ -443,9 +428,9 @@ def is_chordal(g: Graph) -> bool:
     return True
 
 
-def connected_k_subsets(g: Graph, k: int, within: int | None = None) -> list[int]:
-    """All connected k-vertex subsets of G (restricted to the `within`
-    mask if given), as bitmasks in canonical subset order.
+def connected_k_subsets(g: Graph, k: int) -> list[int]:
+    """All connected k-vertex subsets of G, as bitmasks in canonical
+    subset order.
 
     Uses the rooted extension scheme that emits every subset exactly
     once: grow only with vertices above the root, and never re-offer a
@@ -453,7 +438,6 @@ def connected_k_subsets(g: Graph, k: int, within: int | None = None) -> list[int
     """
     if k < 1 or k > g.n:
         return []
-    domain = g.full_mask if within is None else within
     adj = g.adj_masks
     out: list[int] = []
 
@@ -468,9 +452,9 @@ def connected_k_subsets(g: Graph, k: int, within: int | None = None) -> list[int
             grown = adj[w] & above & ~closed
             extend(sub | wbit, ext | grown, closed | wbit | adj[w], need - 1, above)
 
-    for root in bits_of(domain):
+    for root in range(g.n):
         rbit = 1 << root
-        above = domain & ~((rbit << 1) - 1)
+        above = g.full_mask & ~((rbit << 1) - 1)
         if k == 1:
             out.append(rbit)
             continue

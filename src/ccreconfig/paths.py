@@ -25,7 +25,6 @@ from .rules import ReconfSequence, Rule
 __all__ = [
     "path_order",
     "is_path_graph",
-    "size_profile",
     "buffer",
     "CompressedMove",
     "PathSolveResult",
@@ -96,12 +95,6 @@ def _runs(positions: Sequence[int]) -> list[tuple[int, int]]:
         runs.append((positions[i], j - i + 1))
         i = j + 1
     return runs
-
-
-def size_profile(g: Graph, subset: Iterable[int]) -> list[int]:
-    """Component sizes from left to right along the path."""
-    _, positions = _positions(g, subset)
-    return [size for _, size in _runs(positions)]
 
 
 def _tagged(profile: Iterable[int]) -> list[tuple[int, int]]:

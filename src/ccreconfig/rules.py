@@ -50,9 +50,6 @@ class Rule(str, Enum):
             ) from None
 
 
-_COMPONENT_RULES = frozenset({"CJ", "CS", "CS1"})
-
-
 def _adjacent_core(
     g: Graph,
     u_mask: int,

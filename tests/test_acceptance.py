@@ -15,14 +15,10 @@ from ccreconfig import (
     build_conflict_graph,
     cc_multiset,
     connected_components,
-    cs1_distance_one_component,
-    cs_distance_one_component,
     expand_moves,
     oracle_solve,
     path_graph,
     reachability_partition,
-    size_profile,
-    solve_chordal_cj,
     solve_cograph_cs,
     solve_equal_size_cj,
     solve_path_cj,
@@ -235,14 +231,13 @@ def test_criterion_cograph_solver():
             one = enumerate_states(g, (s,))
             ix = one.index[sum(1 << v for v in x)]
             iy = one.index[sum(1 << v for v in y)]
-            d_cs = cs_distance_one_component(g, x, y)
+            d_cs = solve_cograph_cs(g, x, y).distance
             if d_cs not in (0, 1, 2):
                 failures.append((g.edges, x, y, "distance out of range"))
             if d_cs != bfs_distances(one, ix, Rule.CS)[iy]:
                 failures.append((g.edges, x, y, "one-component CS distance"))
-            if cs1_distance_one_component(g, x, y) != bfs_distances(
-                one, ix, Rule.CS1
-            )[iy]:
+            d_cs1 = solve_cograph_cs(g, x, y, variant=Rule.CS1).distance
+            if d_cs1 != bfs_distances(one, ix, Rule.CS1)[iy]:
                 failures.append((g.edges, x, y, "one-component CS1 distance"))
         if failures:
             break
@@ -267,7 +262,7 @@ def test_criterion_chordal_solver():
         except InvalidInstanceError:
             continue
         done += 1
-        res = solve_chordal_cj(g, a, b)
+        res = solve_equal_size_cj(g, a, b)
         if res.answer != "yes":
             failures.append((g.edges, a, b, "not yes"))
             continue
@@ -410,7 +405,7 @@ def test_criterion_scaling():
         res = solve_path_cj(g, a, b)
         if not res.reachable:
             continue
-        k = len(size_profile(g, a))
+        k = len(cc_multiset(g, a))
         if len(res.moves) > 3 * k * k + 2 * k:
             failures.append((n, parts, "move bound exceeded"))
     detail = ", ".join(f"{name} x{ratio:.2f}" for name, ratio in ratios)
@@ -447,7 +442,7 @@ def test_criterion_mutation_rejection():
         except InvalidInstanceError:
             continue
         if cc_multiset(gc, a) == cc_multiset(gc, b):
-            res = solve_chordal_cj(gc, a, b)
+            res = solve_equal_size_cj(gc, a, b)
             if res.answer == "yes" and len(res.states) >= 2:
                 corpus.append((gc, Rule.CJ, res.states))
 

@@ -8,13 +8,11 @@ from ccreconfig import (
     InternalContradictionError,
     Rule,
     UnequalSizesError,
-    WrongGraphClassError,
     bfs_distances,
     build_conflict_graph,
     cycle_graph,
     is_chordal,
     path_graph,
-    solve_chordal_cj,
     solve_equal_size_cj,
     verify_sequence,
 )
@@ -83,20 +81,14 @@ def test_forest_conflicts_on_non_chordal_host():
     assert verify_sequence(cycle_graph(5), res.states, rule=Rule.CJ)
 
 
-def test_chordal_wrapper_checks_class():
-    with pytest.raises(WrongGraphClassError):
-        solve_chordal_cj(cycle_graph(4), [0], [1])
-    res = solve_chordal_cj(path_graph(4), [0, 1], [2, 3], want_states=False)
-    assert res.answer == "yes"
-    assert res.states is None
-
-
 def test_trivial_instances():
     res = solve_equal_size_cj(path_graph(4), [], [])
     assert res.answer == "yes" and res.jumps == ()
     res = solve_equal_size_cj(path_graph(4), [0, 1], [0, 1])
     assert res.answer == "yes" and res.jumps == ()
     assert res.states == ((0, 1),)
+    res = solve_equal_size_cj(path_graph(4), [0, 1], [2, 3], want_states=False)
+    assert res.answer == "yes" and res.states is None
 
 
 def _chordal_pool(seed, count):
@@ -122,7 +114,7 @@ def test_chordal_always_yes_and_optimal():
                     dist = bfs_distances(space, ia, Rule.CJ)
                     for mb in picks:
                         ib = space.index[mb]
-                        res = solve_chordal_cj(
+                        res = solve_equal_size_cj(
                             g, space.state_vertices(ia), space.state_vertices(ib)
                         )
                         assert res.answer == "yes"

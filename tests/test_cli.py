@@ -207,6 +207,31 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert report["stats"]["space"] == 3
 
 
+P4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
+
+
+@pytest.mark.parametrize(
+    "inst, flags",
+    [
+        ({"graph": P4, "A": [0, 2], "B": [1, 3], "rule": "TJ"}, []),
+        ({"graph": P4, "A": [0, 2], "B": [1, 3], "rule": "TS"}, []),
+        ({"graph": P4, "A": [0], "B": [3], "rule": "CJ"}, []),
+        ({"graph": P4, "A": [0, 1], "B": [2, 3], "rule": "CS"}, []),
+        ({"graph": P4, "A": [0, 1], "B": [1, 2], "rule": "CS1"}, []),
+        (P7_CJ, ["--state-cap", "3"]),
+    ],
+)
+def test_oracle_subcommand_is_solve_with_the_oracle(tmp_path, capsys, inst, flags):
+    path = write(tmp_path, "i.json", inst)
+    outcomes = []
+    for argv in (["oracle", path], ["solve", path, "--algorithm", "oracle"]):
+        code, report, err = run(capsys, argv + flags)
+        if report is not None:
+            report["stats"].pop("seconds")
+        outcomes.append((code, report, err))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_state_cap(tmp_path, capsys):
     inst = write(tmp_path, "i.json", P7_CJ)
     code, _, err = run(capsys, ["oracle", inst, "--state-cap", "3"])
@@ -400,6 +425,15 @@ def test_deep_cotree_is_one_level_per_vertex(deep_graph):
         node = node.children[0]  # the part holding vertex 0 lies deeper
         levels += 1
     assert levels == DEEP_N - 1
+
+
+def test_deep_cotree_repr_eq_hash(deep_graph):
+    g, _ = deep_graph
+    root = g.cotree
+    assert repr(root).startswith("CotreeNode('join', (0, 1, 2,")
+    assert repr(root).endswith(", 2 children)")
+    assert root == root and root != threshold_graph(DEEP_N).cotree
+    assert len({root, root.children[0], root}) == 2
 
 
 # Slide walks whose every move also exchanges a single vertex.  The

@@ -11,8 +11,6 @@ from ccreconfig import (
     bfs_distances,
     cc_multiset,
     complete_graph,
-    cs1_distance_one_component,
-    cs_distance_one_component,
     cycle_graph,
     decompose_cograph,
     is_cograph,
@@ -94,27 +92,16 @@ def test_cotree_matches_naive_build():
 
 
 def test_one_component_cs_distances():
-    assert cs_distance_one_component(complete_graph(4), [0, 1], [2, 3]) == 1
-    assert cs_distance_one_component(complete_graph(4), [0, 1], [0, 1]) == 0
-    assert cs_distance_one_component(PINNED, [0, 1], [2, 3]) == 2
+    assert solve_cograph_cs(complete_graph(4), [0, 1], [2, 3]).distance == 1
+    assert solve_cograph_cs(complete_graph(4), [0, 1], [0, 1]).distance == 0
+    assert solve_cograph_cs(PINNED, [0, 1], [2, 3]).distance == 2
 
 
 def test_one_component_cs1_distances():
-    assert cs1_distance_one_component(complete_graph(4), [0, 1], [2, 3]) == 2
-    assert cs1_distance_one_component(PINNED, [0, 1], [2, 3]) == 3
-    assert cs1_distance_one_component(PINNED, [0, 1], [1, 4]) == 1
-    assert cs1_distance_one_component(PINNED, [2, 3], [2, 3]) == 0
-
-
-def test_one_component_rejects():
-    with pytest.raises(NotACographError):
-        cs_distance_one_component(path_graph(4), [0, 1], [2, 3])
-    with pytest.raises(InvalidInstanceError):
-        cs_distance_one_component(complete_graph(4), [0, 1], [2])
-    with pytest.raises(InvalidInstanceError):
-        cs_distance_one_component(Graph(4, [(0, 1), (2, 3)]), [0, 1], [2, 3])
-    with pytest.raises(InvalidInstanceError):
-        cs1_distance_one_component(PINNED, [0, 2], [2, 3])
+    assert solve_cograph_cs(complete_graph(4), [0, 1], [2, 3], variant=Rule.CS1).distance == 2
+    assert solve_cograph_cs(PINNED, [0, 1], [2, 3], variant=Rule.CS1).distance == 3
+    assert solve_cograph_cs(PINNED, [0, 1], [1, 4], variant=Rule.CS1).distance == 1
+    assert solve_cograph_cs(PINNED, [2, 3], [2, 3], variant=Rule.CS1).distance == 0
 
 
 def test_solver_rejects_non_cograph():
@@ -213,8 +200,8 @@ def test_one_component_distance_is_exact():
                     if x >= y:
                         continue
                     iy = space.index[sum(1 << v for v in y)]
-                    assert cs_distance_one_component(g, x, y) == d_cs[iy]
-                    assert cs1_distance_one_component(g, x, y) == d_cs1[iy]
+                    assert solve_cograph_cs(g, x, y).distance == d_cs[iy]
+                    assert solve_cograph_cs(g, x, y, variant=Rule.CS1).distance == d_cs1[iy]
                     assert d_cs[iy] in (1, 2)
 
 

@@ -22,7 +22,6 @@ from ccreconfig.graph import (
     mask_of,
     parse_graph,
     path_graph,
-    touches,
     vertices_of,
 )
 
@@ -116,29 +115,6 @@ def test_configuration_caches_structure():
     assert c.mask == 0b01011
     assert c == Configuration(g, [0, 1, 3])
     assert hash(c) == hash(Configuration(g, [0, 1, 3]))
-
-
-def test_touches_examples():
-    g = path_graph(4)
-    assert touches(g, [0, 1], [2, 3])
-    assert touches(g, [0, 1], [1, 2])
-    assert not touches(g, [0], [2])
-    with pytest.raises(InvalidInstanceError):
-        touches(g, [0, 2], [1])
-    with pytest.raises(InvalidInstanceError):
-        touches(g, [], [1])
-
-
-def test_touches_is_symmetric():
-    rng = random.Random(7)
-    for _ in range(200):
-        g = helpers.random_graph(rng, rng.randint(2, 7))
-        comps = [c for k in (1, 2, 3) for c in connected_k_subsets(g, k)]
-        if len(comps) < 2:
-            continue
-        a, b = rng.sample(comps, 2)
-        va, vb = vertices_of(a), vertices_of(b)
-        assert touches(g, va, vb) == touches(g, vb, va)
 
 
 def test_components_match_union_find_exhaustively():
@@ -236,8 +212,5 @@ def test_connected_k_subsets_match_filtered_combinations():
 
 def test_connected_k_subsets_within_mask():
     g = path_graph(6)
-    within = mask_of([0, 1, 2, 4])
-    got = connected_k_subsets(g, 2, within=within)
-    assert [vertices_of(m) for m in got] == [(0, 1), (1, 2)]
     assert connected_k_subsets(g, 0) == []
     assert connected_k_subsets(g, 7) == []

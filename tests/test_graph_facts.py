@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from ccreconfig import Graph, Rule, cographs, decompose_cograph, graph, paths, solve_cograph_cs
+from ccreconfig import (
+    Graph, Rule, cli, cographs, decompose_cograph, graph, paths, solve_cograph_cs,
+)
 from ccreconfig.cli import main
 from ccreconfig.generators import random_cotree_graph
 
@@ -58,6 +60,43 @@ def test_cli_cograph_solve_decomposes_once(tmp_path, capsys, monkeypatch):
     assert main(["solve", str(path)]) in (0, 1)
     assert json.loads(capsys.readouterr().out)["algorithm"] == "cograph"
     assert len(builds) == 1
+
+
+def _dispatch_calls(tmp_path, capsys, monkeypatch, inst):
+    """Solve the instance with auto dispatch; the report's algorithm and
+    the calls made to each class check and to the equal-size solver."""
+    names = ("_walk_path", "_build_cotree", "is_chordal", "solve_equal_size_cj")
+    modules = (paths, cographs, cli, cli)
+    calls = {name: counted(monkeypatch, mod, name) for mod, name in zip(modules, names)}
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps(inst))
+    assert main(["solve", str(path)]) in (0, 1)
+    algorithm = json.loads(capsys.readouterr().out)["algorithm"]
+    return algorithm, {name: len(got) for name, got in calls.items()}
+
+
+def test_dispatch_runs_only_the_class_checks_it_needs(tmp_path, capsys, monkeypatch):
+    # a star is chordal, a cograph and not a path; CJ never asks for a cotree
+    star = {"graph": {"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}, "A": [1], "B": [2]}
+    with monkeypatch.context() as m:
+        algorithm, calls = _dispatch_calls(tmp_path, capsys, m, dict(star, rule="CJ"))
+    assert algorithm == "chordal"
+    assert calls["_build_cotree"] == 0
+    assert calls["is_chordal"] == 1 and calls["solve_equal_size_cj"] == 1
+
+    p5 = {"graph": {"n": 5, "edges": [[i, i + 1] for i in range(4)]}, "A": [0, 2], "B": [1, 4]}
+    for rule in ("TJ", "TS"):
+        with monkeypatch.context() as m:
+            algorithm, calls = _dispatch_calls(tmp_path, capsys, m, dict(p5, rule=rule))
+        assert algorithm == "oracle"
+        assert calls["_walk_path"] == calls["_build_cotree"] == calls["is_chordal"] == 0
+
+    g = threshold_graph(9)
+    inst = {"graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
+            "A": [0, 2, 4], "B": [0, 2, 6], "rule": "CS1"}
+    with monkeypatch.context() as m:
+        algorithm, calls = _dispatch_calls(tmp_path, capsys, m, inst)
+    assert algorithm == "cograph" and calls["_walk_path"] == 0
 
 
 @pytest.mark.parametrize("variant", [Rule.CS, Rule.CS1])

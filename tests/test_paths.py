@@ -16,7 +16,6 @@ from ccreconfig import (
     path_graph,
     path_order,
     reachability_partition,
-    size_profile,
     solve_path_cj,
     solve_path_cs,
     verify_sequence,
@@ -49,15 +48,6 @@ def test_path_order_rejects(g):
     with pytest.raises(WrongGraphClassError):
         path_order(g)
     assert not is_path_graph(g)
-
-
-def test_size_profile():
-    g = path_graph(6)
-    assert size_profile(g, [0, 1, 3]) == [2, 1]
-    assert size_profile(g, [1, 3, 4, 5]) == [1, 3]
-    assert size_profile(g, []) == []
-    relabeled = Graph(4, [(0, 2), (2, 3), (1, 3)])
-    assert size_profile(relabeled, [1, 2, 3]) == [3]
 
 
 def _placed(profile, n):
@@ -223,7 +213,7 @@ def _solver_matches_oracle(n, rule):
                 assert seq.states[-1] == tuple(b)
                 assert verify_sequence(g, seq.states, multiset, rule=rule)
                 if rule is Rule.CJ:
-                    k = len(size_profile(g, a))
+                    k = len(cc_multiset(g, a))
                     assert len(res.moves) <= 3 * k * k + 2 * k
 
 

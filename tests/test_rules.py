@@ -11,7 +11,6 @@ from ccreconfig.graph import (
     cc_multiset,
     mask_of,
     path_graph,
-    touches,
 )
 from ccreconfig.rules import (
     ReconfSequence,
