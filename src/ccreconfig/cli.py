@@ -3,13 +3,16 @@
 Subcommands: solve an instance with a chosen or auto-picked algorithm,
 verify a sequence against an instance, run the exhaustive search
 directly, and generate seeded instances.  Exit codes: 0 yes / valid,
-1 no / violation, 2 undecided, 3 invalid input, 4 state space over cap.
+1 no / violation, 2 undecided, 3 invalid input, 4 state space over cap
+or out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import random
 import sys
 import time
@@ -35,7 +38,16 @@ from .graph import (
     parse_graph,
 )
 from .oracle import DEFAULT_STATE_CAP, build_reconfig_graph, export_dot, oracle_solve
-from .paths import CompressedMove, expand_moves, is_path_graph, solve_path_cj, solve_path_cs
+from .paths import (
+    CompressedMove,
+    _runs,
+    _solve_cj,
+    _solve_cs,
+    _sorted_positions,
+    expand_moves,
+    is_path_graph,
+    path_order,
+)
 from .rules import Rule, verify_sequence
 
 EXIT_YES = 0
@@ -102,7 +114,14 @@ def _load_instance(path: str, rule_flag: str | None):
         raise InvalidInstanceError('no rule: set "rule" in the instance or pass --rule')
     rule = Rule.parse(rule_name)
     declared = obj.get("multiset")
-    ma, mb = cc_multiset(g, a), cc_multiset(g, b)
+    runs = None
+    if rule in SOLVERS["path"][0] and is_path_graph(g):
+        # on a path the runs of positions are the components; the path
+        # solver decides from the same runs
+        runs = _runs(_sorted_positions(g, a)), _runs(_sorted_positions(g, b))
+        ma, mb = (SizeMultiset(size for _, size in r) for r in runs)
+    else:
+        ma, mb = cc_multiset(g, a), cc_multiset(g, b)
     if declared is not None:
         stated = SizeMultiset(_int_list(declared, '"multiset"'))
         if stated != ma or stated != mb:
@@ -110,11 +129,17 @@ def _load_instance(path: str, rule_flag: str | None):
                 f"declared multiset {list(stated)} does not match the "
                 f"configurations ({list(ma)} vs {list(mb)})"
             )
-    return g, a, b, rule, ma, mb
+    return g, a, b, rule, ma, mb, runs
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2))
+    try:
+        print(json.dumps(report, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; what is still buffered goes to devnull, so
+        # the flush at exit cannot fail again (see the signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _fail(code: int, message: str) -> int:
@@ -122,20 +147,22 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _run_path(g, a, b, rule, args):
-    res = (solve_path_cs if rule is Rule.CS else solve_path_cj)(g, a, b)
+def _run_path(g, a, b, rule, args, runs):
+    if runs is None:  # the host is not a path
+        path_order(g)  # raises, saying why
+    res = _solve_cs(*runs) if rule is Rule.CS else _solve_cj(g.n, *runs)
     if not res.reachable:
         return "no", None, None, res.reason, {}
     states = None if args.compressed else expand_moves(g, a, res.moves, rule).states
     return "yes", states, [mv.to_json() for mv in res.moves], None, {}
 
 
-def _run_cograph(g, a, b, rule, args):
+def _run_cograph(g, a, b, rule, args, runs):
     res = solve_cograph_cs(g, a, b, variant=rule)
     return ("yes" if res.reachable else "no"), res.states, None, res.reason, {}
 
 
-def _run_chordal(g, a, b, rule, args):
+def _run_chordal(g, a, b, rule, args, runs):
     # sound on any host: a yes comes with its schedule, and a cyclic
     # conflict graph (impossible when the host is chordal) stays
     # undecided instead of guessing
@@ -145,7 +172,7 @@ def _run_chordal(g, a, b, rule, args):
     return "yes", res.states, [[list(src), list(dst)] for src, dst in res.jumps], None, {}
 
 
-def _run_oracle(g, a, b, rule, args):
+def _run_oracle(g, a, b, rule, args, runs):
     res = oracle_solve(g, a, b, rule=rule, state_cap=args.state_cap)
     extra = {"space": res.space_size}
     if res.reachable:
@@ -154,7 +181,9 @@ def _run_oracle(g, a, b, rule, args):
 
 
 # algorithm -> (rules it decides, class test on (graph, multiset), runner
-# returning (answer, states, moves, reason, extra stats)).  `auto` takes
+# returning (answer, states, moves, reason, extra stats)).  A runner's
+# last argument is the pair of position runs _load_instance took on a
+# path host for a rule the path solver decides, else None.  `auto` takes
 # the first entry whose rules hold the rule and whose class test passes.
 # Class tests and runners look the solvers up by module name when they
 # run, so a rebound module attribute (a timing wrapper) is what they call.
@@ -167,7 +196,7 @@ SOLVERS = {
 
 
 def _cmd_solve(args) -> int:
-    g, a, b, rule, ma, mb = _load_instance(args.instance, args.rule)
+    g, a, b, rule, ma, mb, runs = _load_instance(args.instance, args.rule)
     if ma != mb:
         _emit(
             {
@@ -193,7 +222,7 @@ def _cmd_solve(args) -> int:
                     f"{algorithm} algorithm handles "
                     f"{' and '.join(r.value for r in rules)} only"
                 )
-            answer, states, moves, reason, extra = run(g, a, b, rule, args)
+            answer, states, moves, reason, extra = run(g, a, b, rule, args, runs)
         except (WrongGraphClassError, UnequalSizesError, InvalidInstanceError):
             if algorithm == plan[-1]:
                 raise
@@ -250,7 +279,7 @@ def _replay_jumps(a: tuple[int, ...], moves: list) -> list[tuple[int, ...]]:
 
 
 def _cmd_verify(args) -> int:
-    g, a, b, rule, ma, mb = _load_instance(args.instance, args.rule)
+    g, a, b, rule, ma, mb, _ = _load_instance(args.instance, args.rule)
     seq = _read_json(args.sequence)
     if isinstance(seq, dict) and args.rule is None and "rule" in seq:
         rule = Rule.parse(seq["rule"])
@@ -367,13 +396,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # A loaded instance is a few hundred thousand containers that live
+    # until the command ends, and every full cyclic collection would walk
+    # them all again; the commands leave no cyclic garbage that grows
+    # with the input, so the collector pauses until they return.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except StateSpaceTooLargeError as exc:
         return _fail(EXIT_TOO_LARGE, str(exc))
+    except MemoryError:
+        pass  # reported below, once leaving the handler has freed its frames
     except (InvalidInstanceError, WrongGraphClassError, NotACographError,
             UnequalSizesError) as exc:
         return _fail(EXIT_INVALID, str(exc))
+    finally:
+        if collecting:
+            gc.enable()
+    return _fail(
+        EXIT_TOO_LARGE,
+        "out of memory; solve --compressed emits component moves instead of full states",
+    )
 
 
 if __name__ == "__main__":

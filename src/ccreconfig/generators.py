@@ -146,21 +146,29 @@ def sample_spread_components(
     rng: random.Random, g: Graph, size: int, count: int, *, tries: int = 200
 ) -> tuple[int, ...]:
     """Vertex set with exactly `count` components of exactly `size`
-    vertices, sampled by growing components in random free territory."""
+    vertices, sampled by growing components from random free starts.
+
+    A start whose free territory is too small is skipped, not the whole
+    attempt: territory only shrinks, so it can never serve later.  Each
+    attempt is one pass over a fresh random order of the vertices."""
     for _ in range(tries):
-        taken: set[int] = set()
+        starts = list(range(g.n))
+        rng.shuffle(starts)
+        taken: list[int] = []
         blocked: set[int] = set()
-        ok = True
-        for _ in range(count):
-            comp = _grow_component(rng, g, size, blocked)
-            if comp is None:
-                ok = False
+        for start in starts:
+            if len(taken) == size * count:
                 break
-            taken |= comp
+            if start in blocked:
+                continue
+            comp = _grow_component(rng, g, size, blocked, start)
+            if comp is None:
+                continue
+            taken.extend(comp)
             blocked |= comp
             for v in comp:
                 blocked |= g.adj[v]
-        if ok:
+        if len(taken) == size * count:
             return tuple(sorted(taken))
     raise InvalidInstanceError(
         f"could not place {count} far-apart components of size {size}"
@@ -168,12 +176,10 @@ def sample_spread_components(
 
 
 def _grow_component(
-    rng: random.Random, g: Graph, size: int, blocked: set[int]
+    rng: random.Random, g: Graph, size: int, blocked: set[int], start: int
 ) -> set[int] | None:
-    free = [v for v in range(g.n) if v not in blocked]
-    if not free:
-        return None
-    start = rng.choice(free)
+    """Random connected set of `size` free vertices around `start`, or
+    None when the free territory of `start` is smaller than that."""
     comp = {start}
     frontier = [u for u in g.adj[start] if u not in blocked]
     while len(comp) < size:

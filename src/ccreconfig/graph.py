@@ -70,25 +70,26 @@ class Graph:
             raise InvalidInstanceError("vertex count must be non-negative")
         self.n = n
         adj: list[set[int]] = [set() for _ in range(n)]
-        norm: list[tuple[int, int]] = []
+        m = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidInstanceError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise InvalidInstanceError(f"self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            if v in adj[u]:
-                raise InvalidInstanceError(f"duplicate edge ({u}, {v})")
-            adj[u].add(v)
+            nbrs = adj[u]
+            if v in nbrs:
+                raise InvalidInstanceError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+            nbrs.add(v)
             adj[v].add(u)
-            norm.append((u, v))
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(norm))
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+            m += 1
+        self.m = m
+        self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge once as (u, v) with u < v, in sorted order.  Derived
+        from the adjacency on first use; the solvers read only `adj`."""
+        return tuple((u, v) for u, nbrs in enumerate(self.adj) for v in sorted(nbrs) if u < v)
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)

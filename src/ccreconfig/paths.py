@@ -80,20 +80,28 @@ def is_path_graph(g: Graph) -> bool:
 
 def _positions(g: Graph, subset: Iterable[int]) -> tuple[tuple[int, ...], list[int]]:
     order = path_order(g)
-    pos = g.path_layout[1]
-    return order, sorted(pos[v] for v in _clean_subset(g, subset))
+    return order, _sorted_positions(g, _clean_subset(g, subset))
 
 
-def _runs(positions: Sequence[int]) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive positions as (start, size)."""
+def _sorted_positions(g: Graph, vertices: Iterable[int]) -> list[int]:
+    """Path positions of already cleaned vertices, ascending; g must be
+    a path."""
+    return sorted(map(g.path_layout[1].__getitem__, vertices))
+
+
+def _runs(positions: Iterable[int]) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive ascending positions as (start, size):
+    on a path these are the components of the subset."""
     runs = []
-    i = 0
-    while i < len(positions):
-        j = i
-        while j + 1 < len(positions) and positions[j + 1] == positions[j] + 1:
-            j += 1
-        runs.append((positions[i], j - i + 1))
-        i = j + 1
+    start = prev = None
+    for p in positions:
+        if p - 1 != prev:
+            if start is not None:
+                runs.append((start, prev - start + 1))
+            start = p
+        prev = p
+    if start is not None:
+        runs.append((start, prev - start + 1))
     return runs
 
 
@@ -178,9 +186,12 @@ def solve_path_cs(
 ) -> PathSolveResult:
     """Component slides on a path: feasible iff the two profiles are
     literally equal; the witness packs A to the left and unpacks into B."""
-    _, pos_a = _positions(g, a)
-    _, pos_b = _positions(g, b)
-    runs_a, runs_b = _runs(pos_a), _runs(pos_b)
+    return _solve_cs(_runs(_positions(g, a)[1]), _runs(_positions(g, b)[1]), want_moves)
+
+
+def _solve_cs(
+    runs_a: list[tuple[int, int]], runs_b: list[tuple[int, int]], want_moves: bool = True
+) -> PathSolveResult:
     profile_a = [s for _, s in runs_a]
     profile_b = [s for _, s in runs_b]
     if sorted(profile_a) != sorted(profile_b):
@@ -189,7 +200,7 @@ def solve_path_cs(
         return PathSolveResult(Rule.CS, False, reason="profile-mismatch")
     if not want_moves:
         return PathSolveResult(Rule.CS, True)
-    if pos_a == pos_b:
+    if runs_a == runs_b:
         return PathSolveResult(Rule.CS, True, ())
     forward = _pack_left_slides(runs_a)
     backward = [mv.inverse() for mv in reversed(_pack_left_slides(runs_b))]
@@ -201,25 +212,29 @@ def solve_path_cj(
 ) -> PathSolveResult:
     """Component jumps on a path: sort the profile by bubble sort, three
     jumps per swapped pair, using the right buffer as parking space."""
-    order, pos_a = _positions(g, a)
-    _, pos_b = _positions(g, b)
-    runs_a, runs_b = _runs(pos_a), _runs(pos_b)
+    return _solve_cj(g.n, _runs(_positions(g, a)[1]), _runs(_positions(g, b)[1]), want_moves)
+
+
+def _solve_cj(
+    n: int, runs_a: list[tuple[int, int]], runs_b: list[tuple[int, int]],
+    want_moves: bool = True,
+) -> PathSolveResult:
     profile_a = [s for _, s in runs_a]
     profile_b = [s for _, s in runs_b]
     if sorted(profile_a) != sorted(profile_b):
         return PathSolveResult(Rule.CJ, False, reason="multiset-mismatch")
+    occupied = sum(profile_a)
+    k = len(runs_a)
     # equal sizes never need to pass each other, so a pair that cannot
     # swap exists iff the sizes above the buffer appear in another order
-    free = buffer(len(order), pos_a, len(runs_a))
+    free = n - occupied - k  # buffer(n, A, k)
     if [s for s in profile_a if s > free] != [s for s in profile_b if s > free]:
         return PathSolveResult(Rule.CJ, False, reason="buffer-exceeded")
     if not want_moves:
         return PathSolveResult(Rule.CJ, True)
-    if pos_a == pos_b:
+    if runs_a == runs_b:
         return PathSolveResult(Rule.CJ, True, ())
     moves = _pack_left_jumps(runs_a)
-    occupied = len(pos_a)
-    k = len(runs_a)
     tail = occupied + k  # one past the gap after the packed block
     cur = _tagged(profile_a)
     want_rank = {e: i for i, e in enumerate(_tagged(profile_b))}

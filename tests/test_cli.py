@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccreconfig
-from ccreconfig import Rule, verify_sequence
+from ccreconfig import Graph, Rule, cc_multiset, cli, verify_sequence
 from ccreconfig.cli import main
+from ccreconfig.generators import gen_chordal_instance, gen_cograph_instance, gen_path_instance
 
 from helpers import threshold_graph
 
@@ -278,6 +281,18 @@ def test_gen_chordal_params(capsys):
     assert len(inst["A"]) == 4 and len(inst["B"]) == 4
 
 
+def test_gen_chordal_places_a_dense_request(capsys):
+    # dead-end starts are common here; each must cost only itself
+    code, inst, _ = run(
+        capsys,
+        ["gen", "--kind", "chordal", "--n", "20000", "--seed", "1",
+         "--size", "2", "--count", "200"],
+    )
+    assert code == 0
+    g = Graph(inst["graph"]["n"], inst["graph"]["edges"])
+    assert cc_multiset(g, inst["A"]) == cc_multiset(g, inst["B"]) == (2,) * 200
+
+
 def test_bad_inputs(tmp_path, capsys):
     missing = write(tmp_path, "m.json", {"graph": {"n": 3, "edges": []}, "A": [0]})
     code, _, err = run(capsys, ["solve", missing])
@@ -303,11 +318,16 @@ def test_bad_inputs(tmp_path, capsys):
     assert code == 3
 
 
-def test_pipe_gen_into_solve():
-    # the children import the package from where this process found it
+def child_env() -> dict:
+    """Environment for a ccreconfig child that imports the package from
+    where this process found it."""
     src = str(Path(ccreconfig.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_pipe_gen_into_solve():
+    env = child_env()
     gen = subprocess.run(
         [sys.executable, "-m", "ccreconfig.cli", "gen", "--kind", "path",
          "--n", "12", "--seed", "9"],
@@ -531,3 +551,83 @@ def test_arbitrary_input_ends_in_a_documented_exit(inst, flags, seq):
             assert code in (0, 1, 2, 3, 4)
             if err:
                 assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+
+
+def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(tmp_path):
+    # a path CJ yes-instance whose report outgrows the pipe buffer
+    g, a, b = gen_path_instance(random.Random(2), 3000)
+    inst = write(tmp_path, "i.json", {"graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
+                                      "A": list(a), "B": list(b), "rule": "CJ"})
+    expected, _ = _main_quietly(["solve", inst])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ccreconfig.cli", "solve", inst],
+        env=child_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    child.stdout.close()  # the reader is gone before the report is written
+    err = child.stderr.read()
+    assert child.wait(timeout=120) == expected == 0
+    assert err == b""
+
+
+def test_out_of_memory_exits_4_and_names_compressed(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "expand_moves", exhausted)
+    code, report, err = run(capsys, ["solve", write(tmp_path, "i.json", P7_CJ)])
+    assert code == 4 and report is None
+    assert len(err.splitlines()) == 1 and "--compressed" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector(tmp_path, capsys, monkeypatch, enabled):
+    good = write(tmp_path, "i.json", P7_CJ)
+    bad = write(tmp_path, "b.json", {"graph": {"n": 3, "edges": []}, "A": [0]})
+    during = []
+
+    def boom(*args):
+        during.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run(capsys, ["solve", good])[0] == 0 and gc.isenabled() is enabled
+        assert run(capsys, ["solve", bad])[0] == 3 and gc.isenabled() is enabled
+        monkeypatch.setattr(cli, "_solve_cj", boom)
+        with pytest.raises(RuntimeError):
+            main(["solve", good])
+        assert gc.isenabled() is enabled
+        assert during == [False]
+    finally:
+        gc.enable()
+
+
+def test_paused_collector_leaves_no_garbage_that_grows_with_the_input(tmp_path):
+    """With the collector off, a solve leaves as much cyclic garbage at
+    ten times the size, so pausing it in main() holds no memory in
+    proportion to the input."""
+    kinds = {
+        "path": (lambda rng, n: gen_path_instance(rng, n, parts=5), "CJ", 300),
+        "chordal": (lambda rng, n: gen_chordal_instance(rng, n, size=2, count=5), "CJ", 300),
+        "cograph": (gen_cograph_instance, "CS", 30),
+    }
+    for kind, (make, rule, n) in kinds.items():
+        found = []
+        for size in (n, n, 10 * n):  # the first run warms up
+            g, a, b = make(random.Random(1), size)
+            inst = write(tmp_path, "i.json", {
+                "graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
+                "A": list(a), "B": list(b), "rule": rule})
+            out = io.StringIO()
+            gc.collect()
+            gc.disable()
+            try:
+                with contextlib.redirect_stdout(out):
+                    code = main(["solve", inst])
+                found.append(gc.collect())
+            finally:
+                gc.enable()
+            assert code in (0, 1) and json.loads(out.getvalue())["algorithm"] == kind
+        assert found[1] == found[2], kind

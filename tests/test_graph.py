@@ -40,10 +40,27 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 0)])
     with pytest.raises(InvalidInstanceError):
         Graph(3, [(0, 3)])
-    with pytest.raises(InvalidInstanceError):
-        Graph(3, [(0, 1), (1, 0)])
+    with pytest.raises(InvalidInstanceError, match=r"duplicate edge \(0, 2\)"):
+        Graph(3, [(0, 2), (2, 0)])
+    with pytest.raises(InvalidInstanceError, match=r"duplicate edge \(0, 2\)"):
+        Graph(3, [(2, 0), (0, 2)])
     with pytest.raises(InvalidInstanceError):
         Graph(-1)
+
+
+def test_edges_and_m_match_the_normalised_input():
+    rng = random.Random(11)
+    for _ in range(100):
+        n = rng.randint(0, 25)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
+        given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        rng.shuffle(given)
+        g = Graph(n, given)
+        # what Graph stored before edges were derived from adj
+        assert g.edges == tuple(sorted((min(e), max(e)) for e in given))
+        assert g.m == len(given)
+        same = Graph(n, pairs)
+        assert g == same and hash(g) == hash(same)
 
 
 def test_parse_graph_round_trip():

@@ -31,6 +31,8 @@ def counted(monkeypatch, module, name):
 @pytest.mark.parametrize("flags", [[], ["--compressed"], ["--rule", "CS"]])
 def test_cli_path_solve_walks_once(tmp_path, capsys, monkeypatch, flags):
     walks = counted(monkeypatch, paths, "_walk_path")
+    # the multisets come from the path runs, not a component search
+    searches = counted(monkeypatch, graph, "connected_components")
     order = [3, 7, 0, 5, 1, 6, 2, 4]  # a relabeled 8-vertex path
     inst = {
         "graph": {"n": 8, "edges": [[u, v] for u, v in zip(order, order[1:])]},
@@ -44,6 +46,7 @@ def test_cli_path_solve_walks_once(tmp_path, capsys, monkeypatch, flags):
     report = json.loads(capsys.readouterr().out)
     assert report["algorithm"] == "path" and code in (0, 1)
     assert len(walks) == 1
+    assert searches == []
 
 
 def test_cli_cograph_solve_decomposes_once(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from ccreconfig import (
     Graph,
     InvalidInstanceError,
     Rule,
+    SizeMultiset,
     WrongGraphClassError,
     buffer,
     cc_multiset,
@@ -20,7 +22,9 @@ from ccreconfig import (
     solve_path_cs,
     verify_sequence,
 )
+from ccreconfig.graph import connected_components
 from ccreconfig.oracle import enumerate_states
+from ccreconfig.paths import _runs, _sorted_positions
 from ccreconfig.rules import adjacent
 
 
@@ -249,3 +253,18 @@ def test_solvers_reject_non_path():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(WrongGraphClassError):
         solve_path_cs(g, [0], [1])
+
+
+def test_position_runs_are_the_components():
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        order = list(range(n))
+        rng.shuffle(order)
+        g = Graph(n, list(zip(order, order[1:])))
+        sub = sorted(rng.sample(range(n), rng.randint(0, n)))
+        runs = _runs(_sorted_positions(g, sub))
+        assert SizeMultiset(size for _, size in runs) == cc_multiset(g, sub)
+        along = path_order(g)
+        blocks = [tuple(sorted(along[start:start + size])) for start, size in runs]
+        assert sorted(blocks) == connected_components(g, sub)
