@@ -18,12 +18,10 @@ from .errors import (
 )
 from .chordal import (
     ConflictGraph,
-    EqualSizeResult,
     build_conflict_graph,
     solve_equal_size_cj,
 )
 from .cographs import (
-    CographSolveResult,
     CotreeNode,
     decompose_cograph,
     is_cograph,
@@ -44,7 +42,6 @@ from .graph import (
     path_graph,
 )
 from .oracle import (
-    OracleResult,
     ReconfigGraph,
     StateSpace,
     bfs_distances,
@@ -56,7 +53,6 @@ from .oracle import (
 )
 from .paths import (
     CompressedMove,
-    PathSolveResult,
     buffer,
     expand_moves,
     is_path_graph,
@@ -65,7 +61,7 @@ from .paths import (
     solve_path_cs,
 )
 from .rules import (
-    ReconfSequence,
+    Result,
     Rule,
     VerifyResult,
     adjacent,

@@ -20,12 +20,11 @@ from typing import Iterable
 
 from .errors import InternalContradictionError, UnequalSizesError
 from .graph import Graph, _clean_subset, connected_components
-from .rules import Rule
+from .rules import Result, Rule
 
 __all__ = [
     "ConflictGraph",
     "build_conflict_graph",
-    "EqualSizeResult",
     "solve_equal_size_cj",
 ]
 
@@ -94,16 +93,6 @@ def build_conflict_graph(
     return ConflictGraph(a_only, b_only, common, tuple(sorted(edges)))
 
 
-@dataclass(frozen=True)
-class EqualSizeResult:
-    rule: Rule
-    answer: str  # "yes" | "no" | "unknown"
-    jumps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = None
-    states: tuple[tuple[int, ...], ...] | None = None
-    conflicts: ConflictGraph | None = None
-    reason: str | None = None
-
-
 def _peel_order(cg: ConflictGraph) -> list[tuple[int, int]]:
     """(a index, b index) jump schedule obtained by repeatedly serving
     the lowest-numbered target component with at most one live conflict."""
@@ -150,10 +139,11 @@ def solve_equal_size_cj(
     b: Iterable[int],
     *,
     want_states: bool = True,
-) -> EqualSizeResult:
+) -> Result:
     """Jump reconfiguration when every component of both configurations
-    has the same size.  Decides yes (with an optimal schedule) when the
-    conflict graph is a forest; reports unknown otherwise."""
+    has the same size.  Decides yes (with an optimal schedule of
+    (source, target) jumps) when the conflict graph is a forest; leaves
+    the instance undecided otherwise."""
     va = _clean_subset(g, a)
     vb = _clean_subset(g, b)
     cg = build_conflict_graph(g, va, vb)
@@ -161,23 +151,25 @@ def solve_equal_size_cj(
     if len(sizes) > 1:
         raise UnequalSizesError(f"component sizes differ: {sorted(sizes)}")
     if len(cg.a_only) != len(cg.b_only):
-        return EqualSizeResult(
-            Rule.CJ, "no", conflicts=cg, reason="multiset-mismatch"
-        )
+        return Result(Rule.CJ, False, reason="multiset-mismatch", conflicts=cg)
     if not cg.is_forest():
-        return EqualSizeResult(
-            Rule.CJ, "unknown", conflicts=cg, reason="conflict-cycle"
-        )
+        return Result(Rule.CJ, None, reason="conflict-cycle", conflicts=cg)
     jumps = tuple(
         (cg.a_only[ai], cg.b_only[bi]) for ai, bi in _peel_order(cg)
     )
-    states = None
-    if want_states:
-        current = set(va)
-        trace = [tuple(sorted(current))]
-        for src, dst in jumps:
-            current.difference_update(src)
-            current.update(dst)
-            trace.append(tuple(sorted(current)))
-        states = tuple(trace)
-    return EqualSizeResult(Rule.CJ, "yes", jumps, states, cg)
+    states = _replay_jumps(va, jumps) if want_states else None
+    return Result(Rule.CJ, True, states, jumps, conflicts=cg)
+
+
+def _replay_jumps(
+    a: Iterable[int], jumps: Iterable[tuple[Iterable[int], Iterable[int]]]
+) -> tuple[tuple[int, ...], ...]:
+    """States after each (source, target) jump from a, applied as plain
+    set updates; whether they are legal moves is for the verifier."""
+    current = set(a)
+    states = [tuple(sorted(current))]
+    for src, dst in jumps:
+        current.difference_update(src)
+        current.update(dst)
+        states.append(tuple(sorted(current)))
+    return tuple(states)

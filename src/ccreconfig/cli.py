@@ -18,7 +18,7 @@ import sys
 import time
 from typing import Any
 
-from .chordal import solve_equal_size_cj
+from .chordal import _replay_jumps, solve_equal_size_cj
 from .cographs import is_cograph, solve_cograph_cs
 from .errors import (
     InvalidInstanceError,
@@ -151,47 +151,42 @@ def _run_path(g, a, b, rule, args, runs):
     if runs is None:  # the host is not a path
         path_order(g)  # raises, saying why
     res = _solve_cs(*runs) if rule is Rule.CS else _solve_cj(g.n, *runs)
-    if not res.reachable:
-        return "no", None, None, res.reason, {}
-    states = None if args.compressed else expand_moves(g, a, res.moves, rule).states
-    return "yes", states, [mv.to_json() for mv in res.moves], None, {}
-
-
-def _run_cograph(g, a, b, rule, args, runs):
-    res = solve_cograph_cs(g, a, b, variant=rule)
-    return ("yes" if res.reachable else "no"), res.states, None, res.reason, {}
-
-
-def _run_chordal(g, a, b, rule, args, runs):
-    # sound on any host: a yes comes with its schedule, and a cyclic
-    # conflict graph (impossible when the host is chordal) stays
-    # undecided instead of guessing
-    res = solve_equal_size_cj(g, a, b, want_states=not args.compressed)
-    if res.answer != "yes":
-        return res.answer, None, None, res.reason, {}
-    return "yes", res.states, [[list(src), list(dst)] for src, dst in res.jumps], None, {}
-
-
-def _run_oracle(g, a, b, rule, args, runs):
-    res = oracle_solve(g, a, b, rule=rule, state_cap=args.state_cap)
-    extra = {"space": res.space_size}
-    if res.reachable:
-        extra["distance"] = res.distance
-    return ("yes" if res.reachable else "no"), res.states, None, res.reason, extra
+    if res.reachable and not args.compressed:
+        return expand_moves(g, a, res.moves, rule)
+    return res
 
 
 # algorithm -> (rules it decides, class test on (graph, multiset), runner
-# returning (answer, states, moves, reason, extra stats)).  A runner's
-# last argument is the pair of position runs _load_instance took on a
-# path host for a rule the path solver decides, else None.  `auto` takes
-# the first entry whose rules hold the rule and whose class test passes.
-# Class tests and runners look the solvers up by module name when they
-# run, so a rebound module attribute (a timing wrapper) is what they call.
+# returning the solver's Result).  A runner's last argument is the pair
+# of position runs _load_instance took on a path host for a rule the
+# path solver decides, else None.  `auto` takes the first entry whose
+# rules hold the rule and whose class test passes.  Class tests and
+# runners look the solvers up by module name when they run, so a
+# rebound module attribute (a timing wrapper) is what they call.  The
+# chordal solver is sound on any host: a yes comes with its schedule,
+# and a cyclic conflict graph (impossible on a chordal host) stays
+# undecided instead of guessing.
 SOLVERS = {
     "path": ((Rule.CS, Rule.CJ), lambda g, ms: is_path_graph(g), _run_path),
-    "cograph": ((Rule.CS, Rule.CS1), lambda g, ms: is_cograph(g), _run_cograph),
-    "chordal": ((Rule.CJ,), lambda g, ms: len(set(ms)) <= 1 and is_chordal(g), _run_chordal),
-    "oracle": (tuple(Rule), lambda g, ms: True, _run_oracle),
+    "cograph": (
+        (Rule.CS, Rule.CS1),
+        lambda g, ms: is_cograph(g),
+        lambda g, a, b, rule, args, runs: solve_cograph_cs(g, a, b, variant=rule),
+    ),
+    "chordal": (
+        (Rule.CJ,),
+        lambda g, ms: len(set(ms)) <= 1 and is_chordal(g),
+        lambda g, a, b, rule, args, runs: solve_equal_size_cj(
+            g, a, b, want_states=not args.compressed
+        ),
+    ),
+    "oracle": (
+        tuple(Rule),
+        lambda g, ms: True,
+        lambda g, a, b, rule, args, runs: oracle_solve(
+            g, a, b, rule=rule, state_cap=args.state_cap
+        ),
+    ),
 }
 
 
@@ -222,40 +217,41 @@ def _cmd_solve(args) -> int:
                     f"{algorithm} algorithm handles "
                     f"{' and '.join(r.value for r in rules)} only"
                 )
-            answer, states, moves, reason, extra = run(g, a, b, rule, args, runs)
+            res = run(g, a, b, rule, args, runs)
         except (WrongGraphClassError, UnequalSizesError, InvalidInstanceError):
             if algorithm == plan[-1]:
                 raise
             continue
-        if answer != "unknown":
+        if res.reachable is not None:
             break
     elapsed = time.perf_counter() - start
 
-    length = None
-    if states is not None:
-        length = len(states) - 1
-    elif moves is not None:
-        length = len(moves)
-    report = {
-        "answer": answer,
-        "rule": rule.value,
-        "algorithm": algorithm,
-        "stats": {"n": g.n, "seconds": round(elapsed, 6), **extra},
-    }
-    if length is not None:
-        report["stats"]["length"] = length
-    if reason:
-        report["reason"] = reason
-    if states is not None:
-        report["states"] = [list(s) for s in states]
-    if moves is not None:
-        report["moves"] = moves
+    stats = {"n": g.n, "seconds": round(elapsed, 6)}
+    if res.space_size is not None:  # the oracle searched
+        stats["space"] = res.space_size
+        if res.reachable:
+            stats["distance"] = res.distance
+    if res.states is not None:
+        stats["length"] = res.distance
+    elif res.moves is not None:
+        stats["length"] = len(res.moves)
+    report = {"answer": res.answer, "rule": rule.value, "algorithm": algorithm, "stats": stats}
+    if res.reason:
+        report["reason"] = res.reason
+    if res.states is not None:
+        report["states"] = [list(s) for s in res.states]
+    if res.moves is not None:
+        # path moves, or the equal-size solver's (source, target) jumps
+        report["moves"] = [
+            mv.to_json() if isinstance(mv, CompressedMove) else [list(mv[0]), list(mv[1])]
+            for mv in res.moves
+        ]
     if args.export_dot:
         rg = build_reconfig_graph(g, ma, rule, state_cap=args.state_cap)
         with open(args.export_dot, "w", encoding="utf-8") as fh:
             fh.write(export_dot(rg))
     _emit(report)
-    return _ANSWER_CODES[answer]
+    return _ANSWER_CODES[res.answer]
 
 
 def _state_list(value: Any) -> list[tuple[int, ...]]:
@@ -264,18 +260,11 @@ def _state_list(value: Any) -> list[tuple[int, ...]]:
     return [tuple(_int_list(s, "a state")) for s in value]
 
 
-def _replay_jumps(a: tuple[int, ...], moves: list) -> list[tuple[int, ...]]:
-    """States after each [source, target] vertex-list jump.  The jumps
-    are applied as plain set updates; verify_sequence judges the result."""
-    current = set(a)
-    states = [a]
-    for mv in moves:
-        if type(mv) is not list or len(mv) != 2:
-            raise InvalidInstanceError(f"bad compressed move: {mv!r}")
-        current.difference_update(_int_list(mv[0], "jump source"))
-        current.update(_int_list(mv[1], "jump target"))
-        states.append(tuple(sorted(current)))
-    return states
+def _jump(mv: Any) -> tuple[list[int], list[int]]:
+    """A [source, target] vertex-list jump from a report, checked for shape."""
+    if type(mv) is not list or len(mv) != 2:
+        raise InvalidInstanceError(f"bad compressed move: {mv!r}")
+    return _int_list(mv[0], "jump source"), _int_list(mv[1], "jump target")
 
 
 def _cmd_verify(args) -> int:
@@ -293,7 +282,7 @@ def _cmd_verify(args) -> int:
             moves = [CompressedMove.from_json(mv) for mv in moves]
             states = list(expand_moves(g, a, moves, rule).states)
         else:
-            states = _replay_jumps(a, moves)
+            states = _replay_jumps(a, [_jump(mv) for mv in moves])
     elif isinstance(seq, list):
         states = _state_list(seq)
     else:

@@ -33,13 +33,12 @@ from .graph import (
     connected_components,
     is_connected_set,
 )
-from .rules import Rule
+from .rules import Result, Rule
 
 __all__ = [
     "CotreeNode",
     "decompose_cograph",
     "is_cograph",
-    "CographSolveResult",
     "solve_cograph_cs",
 ]
 
@@ -280,27 +279,13 @@ def _one_component_states(
     return states
 
 
-@dataclass(frozen=True)
-class CographSolveResult:
-    rule: Rule
-    reachable: bool
-    states: tuple[tuple[int, ...], ...] | None = None
-    reason: str | None = None
-
-    @property
-    def distance(self) -> int | None:
-        if self.states is None:
-            return None
-        return len(self.states) - 1
-
-
 def solve_cograph_cs(
     g: Graph,
     a: Iterable[int],
     b: Iterable[int],
     *,
     variant: Rule = Rule.CS,
-) -> CographSolveResult:
+) -> Result:
     """Decide slide reachability on a cograph and build a sequence.
 
     With variant CS the sequence moves whole components; with variant
@@ -326,7 +311,7 @@ def solve_cograph_cs(
         node, xa, xb = pending.pop()
         while xa != xb:
             if cc_multiset(g, xa) != cc_multiset(g, xb):
-                return CographSolveResult(variant, False, reason="multiset-mismatch")
+                return Result(variant, False, reason="multiset-mismatch")
             if node.kind == "union":
                 for child in reversed(node.children):
                     block = frozenset(child.vertices)
@@ -341,8 +326,6 @@ def solve_cograph_cs(
                 break
             home = _co_part_of(node, xa)
             if home is not _co_part_of(node, xb):
-                return CographSolveResult(variant, False, reason="co-component-mismatch")
+                return Result(variant, False, reason="co-component-mismatch")
             node = home
-    return CographSolveResult(
-        variant, True, tuple(tuple(sorted(s)) for s in states)
-    )
+    return Result(variant, True, tuple(tuple(sorted(s)) for s in states))

@@ -24,13 +24,12 @@ from .graph import (
     is_connected_mask,
     vertices_of,
 )
-from .rules import Rule, _adjacent_core
+from .rules import Result, Rule, _adjacent_core
 
 __all__ = [
     "DEFAULT_STATE_CAP",
     "StateSpace",
     "enumerate_states",
-    "OracleResult",
     "oracle_solve",
     "ReconfigGraph",
     "build_reconfig_graph",
@@ -167,16 +166,6 @@ def neighbors(space: StateSpace, i: int, rule: Rule) -> list[int]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    rule: Rule
-    reachable: bool
-    distance: int | None = None
-    states: tuple[tuple[int, ...], ...] | None = None
-    space_size: int = 0
-    reason: str | None = None
-
-
 def oracle_solve(
     g: Graph,
     a: Iterable[int],
@@ -184,14 +173,15 @@ def oracle_solve(
     rule: Rule,
     *,
     state_cap: int = DEFAULT_STATE_CAP,
-) -> OracleResult:
-    """Exhaustive reachability with a shortest witness sequence."""
+) -> Result:
+    """Exhaustive reachability with a shortest witness sequence; the
+    result's space_size counts the states enumerated."""
     ca = Configuration(g, a)
     cb = Configuration(g, b)
     if ca.multiset != cb.multiset:
-        return OracleResult(rule, False, reason="multiset-mismatch")
+        return Result(rule, False, reason="multiset-mismatch", space_size=0)
     if ca.vertices == cb.vertices:
-        return OracleResult(rule, True, 0, (ca.vertices,), space_size=1)
+        return Result(rule, True, (ca.vertices,), space_size=1)
     space = enumerate_states(g, ca.multiset, state_cap=state_cap)
     try:
         src = space.index[ca.mask]
@@ -209,15 +199,13 @@ def oracle_solve(
                 parent[j] = cur
                 queue.append(j)
     if dst not in parent:
-        return OracleResult(
-            rule, False, space_size=len(space), reason="search-exhausted"
-        )
+        return Result(rule, False, reason="search-exhausted", space_size=len(space))
     chain = [dst]
     while chain[-1] != src:
         chain.append(parent[chain[-1]])
     chain.reverse()
     states = tuple(space.state_vertices(i) for i in chain)
-    return OracleResult(rule, True, len(chain) - 1, states, space_size=len(space))
+    return Result(rule, True, states, space_size=len(space))
 
 
 @dataclass(frozen=True)

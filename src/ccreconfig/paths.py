@@ -20,14 +20,13 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInstanceError, WrongGraphClassError
 from .graph import Graph, SizeMultiset, _clean_subset
-from .rules import ReconfSequence, Rule
+from .rules import Result, Rule
 
 __all__ = [
     "path_order",
     "is_path_graph",
     "buffer",
     "CompressedMove",
-    "PathSolveResult",
     "solve_path_cs",
     "solve_path_cj",
     "expand_moves",
@@ -147,30 +146,6 @@ class CompressedMove:
         return CompressedMove(self.size, self.dst, self.src)
 
 
-@dataclass(frozen=True)
-class PathSolveResult:
-    rule: Rule
-    reachable: bool
-    moves: tuple[CompressedMove, ...] | None = None
-    reason: str | None = None
-
-
-def _pack_left_slides(runs: list[tuple[int, int]]) -> list[CompressedMove]:
-    """Slide every component to its leftmost packed slot, keeping each
-    hop within the component's own length so old and new positions stay
-    connected."""
-    moves = []
-    offset = 0
-    for start, size in runs:
-        left = start
-        while left > offset:
-            step = min(size, left - offset)
-            moves.append(CompressedMove(size, left, left - step))
-            left -= step
-        offset = left + size + 1
-    return moves
-
-
 def _pack_left_jumps(runs: list[tuple[int, int]]) -> list[CompressedMove]:
     moves = []
     offset = 0
@@ -183,33 +158,49 @@ def _pack_left_jumps(runs: list[tuple[int, int]]) -> list[CompressedMove]:
 
 def solve_path_cs(
     g: Graph, a: Iterable[int], b: Iterable[int], *, want_moves: bool = True
-) -> PathSolveResult:
+) -> Result:
     """Component slides on a path: feasible iff the two profiles are
-    literally equal; the witness packs A to the left and unpacks into B."""
+    literally equal; the witness is a shortest one."""
     return _solve_cs(_runs(_positions(g, a)[1]), _runs(_positions(g, b)[1]), want_moves)
 
 
 def _solve_cs(
     runs_a: list[tuple[int, int]], runs_b: list[tuple[int, int]], want_moves: bool = True
-) -> PathSolveResult:
+) -> Result:
+    """A slide moves one component by at most its own size and never
+    past another, so the i-th component of A needs at least
+    ceil(|a_i - b_i| / s_i) moves to reach its slot in B.  The witness
+    meets that bound: each component slides straight to its slot in hops
+    of its own size, first those moving right, rightmost first, then
+    those moving left, leftmost first.  A moving component then only
+    ever has settled or unmoved components beside it, none of which
+    reaches into its stretch of the path."""
     profile_a = [s for _, s in runs_a]
     profile_b = [s for _, s in runs_b]
     if sorted(profile_a) != sorted(profile_b):
-        return PathSolveResult(Rule.CS, False, reason="multiset-mismatch")
+        return Result(Rule.CS, False, reason="multiset-mismatch")
     if profile_a != profile_b:
-        return PathSolveResult(Rule.CS, False, reason="profile-mismatch")
+        return Result(Rule.CS, False, reason="profile-mismatch")
     if not want_moves:
-        return PathSolveResult(Rule.CS, True)
-    if runs_a == runs_b:
-        return PathSolveResult(Rule.CS, True, ())
-    forward = _pack_left_slides(runs_a)
-    backward = [mv.inverse() for mv in reversed(_pack_left_slides(runs_b))]
-    return PathSolveResult(Rule.CS, True, tuple(forward + backward))
+        return Result(Rule.CS, True)
+    pairs = [(start, size, dst) for (start, size), (dst, _) in zip(runs_a, runs_b)]
+    moves = []
+    for start, size, dst in reversed(pairs):
+        while start < dst:
+            hop = min(start + size, dst)
+            moves.append(CompressedMove(size, start, hop))
+            start = hop
+    for start, size, dst in pairs:
+        while start > dst:
+            hop = max(start - size, dst)
+            moves.append(CompressedMove(size, start, hop))
+            start = hop
+    return Result(Rule.CS, True, moves=tuple(moves))
 
 
 def solve_path_cj(
     g: Graph, a: Iterable[int], b: Iterable[int], *, want_moves: bool = True
-) -> PathSolveResult:
+) -> Result:
     """Component jumps on a path: sort the profile by bubble sort, three
     jumps per swapped pair, using the right buffer as parking space."""
     return _solve_cj(g.n, _runs(_positions(g, a)[1]), _runs(_positions(g, b)[1]), want_moves)
@@ -218,22 +209,22 @@ def solve_path_cj(
 def _solve_cj(
     n: int, runs_a: list[tuple[int, int]], runs_b: list[tuple[int, int]],
     want_moves: bool = True,
-) -> PathSolveResult:
+) -> Result:
     profile_a = [s for _, s in runs_a]
     profile_b = [s for _, s in runs_b]
     if sorted(profile_a) != sorted(profile_b):
-        return PathSolveResult(Rule.CJ, False, reason="multiset-mismatch")
+        return Result(Rule.CJ, False, reason="multiset-mismatch")
     occupied = sum(profile_a)
     k = len(runs_a)
     # equal sizes never need to pass each other, so a pair that cannot
     # swap exists iff the sizes above the buffer appear in another order
     free = n - occupied - k  # buffer(n, A, k)
     if [s for s in profile_a if s > free] != [s for s in profile_b if s > free]:
-        return PathSolveResult(Rule.CJ, False, reason="buffer-exceeded")
+        return Result(Rule.CJ, False, reason="buffer-exceeded")
     if not want_moves:
-        return PathSolveResult(Rule.CJ, True)
+        return Result(Rule.CJ, True)
     if runs_a == runs_b:
-        return PathSolveResult(Rule.CJ, True, ())
+        return Result(Rule.CJ, True, moves=())
     moves = _pack_left_jumps(runs_a)
     tail = occupied + k  # one past the gap after the packed block
     cur = _tagged(profile_a)
@@ -258,14 +249,15 @@ def _solve_cj(
                 swapped = True
             la += cur[j][0] + 1
     moves.extend(mv.inverse() for mv in reversed(_pack_left_jumps(runs_b)))
-    return PathSolveResult(Rule.CJ, True, tuple(moves))
+    return Result(Rule.CJ, True, moves=tuple(moves))
 
 
 def expand_moves(
     g: Graph, a: Iterable[int], moves: Iterable[CompressedMove], rule: Rule
-) -> ReconfSequence:
+) -> Result:
     """Replay compressed moves into the full state sequence (vertex ids,
-    not positions)."""
+    not positions), returned with the moves."""
+    moves = tuple(moves)
     order, pos_a = _positions(g, a)
     n = len(order)
     current = set(pos_a)
@@ -286,4 +278,4 @@ def expand_moves(
             raise InvalidInstanceError(f"move {mv} lands on another component")
         current = rest | new_seg
         states.append(snapshot())
-    return ReconfSequence(rule, tuple(states), tuple(moves))
+    return Result(rule, True, tuple(states), moves)

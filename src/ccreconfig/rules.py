@@ -17,17 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvalidInstanceError
 from .graph import Configuration, Graph, SizeMultiset, is_connected_mask
 
+if TYPE_CHECKING:
+    from .chordal import ConflictGraph
+
 __all__ = [
     "Rule",
     "adjacent",
+    "Result",
     "VerifyResult",
     "verify_sequence",
-    "ReconfSequence",
 ]
 
 
@@ -108,6 +111,40 @@ def adjacent(
 
 
 @dataclass(frozen=True)
+class Result:
+    """What every solver answers: is B reachable from A under the rule,
+    and by which moves.
+
+    `reachable` is None when the solver could not decide.  `states` is
+    the full state sequence from A, `moves` the compressed moves (path
+    `CompressedMove`s, or the equal-size solver's (source, target)
+    jumps); either is None when it was not built.  `conflicts` is the
+    equal-size solver's conflict graph and `space_size` the number of
+    states the oracle enumerated.
+    """
+
+    rule: Rule
+    reachable: bool | None
+    states: tuple[tuple[int, ...], ...] | None = None
+    moves: tuple | None = None
+    reason: str | None = None
+    conflicts: ConflictGraph | None = None
+    space_size: int | None = None
+
+    @property
+    def answer(self) -> str:
+        return {True: "yes", False: "no", None: "unknown"}[self.reachable]
+
+    @property
+    def distance(self) -> int | None:
+        return None if self.states is None else len(self.states) - 1
+
+    @property
+    def jumps(self) -> tuple | None:
+        return self.moves
+
+
+@dataclass(frozen=True)
 class VerifyResult:
     ok: bool
     index: int | None = None
@@ -147,16 +184,3 @@ def verify_sequence(
             return VerifyResult(False, i - 1, "adjacency")
         prev = cfg
     return VerifyResult(True)
-
-
-@dataclass(frozen=True)
-class ReconfSequence:
-    """A rule plus the full list of states it steps through."""
-
-    rule: Rule
-    states: tuple[tuple[int, ...], ...]
-    moves: tuple | None = None
-
-    @property
-    def length(self) -> int:
-        return len(self.states) - 1

@@ -631,3 +631,28 @@ def test_paused_collector_leaves_no_garbage_that_grows_with_the_input(tmp_path):
                 gc.enable()
             assert code in (0, 1) and json.loads(out.getvalue())["algorithm"] == kind
         assert found[1] == found[2], kind
+
+
+def test_shifted_path_cs_answers_in_bounded_memory(tmp_path):
+    """Each component of a 200 000-vertex path shifts one vertex right:
+    the shortest CS witness is one move per component, and the solve
+    must find it within a 2 GB address space."""
+    import resource
+
+    n = 200_000
+    a = [p for p in range(n - 1) if p % 6 < 3]
+    inst = write(tmp_path, "shift.json", {
+        "graph": {"n": n, "edges": [[p, p + 1] for p in range(n - 1)]},
+        "A": a, "B": [p + 1 for p in a], "rule": "CS"})
+    limit = 2 * 1024 ** 3
+    child = subprocess.run(
+        [sys.executable, "-m", "ccreconfig.cli", "solve", inst, "--compressed"],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert len(report["moves"]) == report["stats"]["length"] == 33_334

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from ccreconfig import (
     CompressedMove,
+    bfs_distances,
     Graph,
     InvalidInstanceError,
     Rule,
@@ -229,6 +231,31 @@ def test_cs_matches_oracle(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_cj_matches_oracle(n):
     _solver_matches_oracle(n, Rule.CJ)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cs_witness_is_shortest(n):
+    """Every reachable CS pair on the path gets exactly
+    sum ceil(|a_i - b_i| / s_i) moves, the oracle's distance."""
+    g = path_graph(n)
+    by_multiset = {}
+    for size in range(n + 1):
+        for sub in itertools.combinations(range(n), size):
+            by_multiset.setdefault(cc_multiset(g, sub), []).append(sub)
+    for multiset, subs in by_multiset.items():
+        space = enumerate_states(g, multiset)
+        for a in subs:
+            dist = bfs_distances(space, space.index[sum(1 << v for v in a)], Rule.CS)
+            for b in subs:
+                res = solve_path_cs(g, a, b)
+                if not res.reachable:
+                    continue
+                pairs = zip(connected_components(g, a), connected_components(g, b))
+                bound = sum(math.ceil(abs(ca[0] - cb[0]) / len(ca)) for ca, cb in pairs)
+                assert len(res.moves) == bound == dist[space.index[sum(1 << v for v in b)]]
+                seq = expand_moves(g, a, res.moves, Rule.CS)
+                assert seq.states[-1] == b
+                assert verify_sequence(g, seq.states, multiset, rule=Rule.CS)
 
 
 def test_moves_are_single_rule_steps():

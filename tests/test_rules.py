@@ -5,6 +5,16 @@ import random
 import pytest
 
 import helpers
+from ccreconfig import (
+    complete_graph,
+    cycle_graph,
+    expand_moves,
+    oracle_solve,
+    solve_cograph_cs,
+    solve_equal_size_cj,
+    solve_path_cj,
+    solve_path_cs,
+)
 from ccreconfig.errors import InvalidInstanceError
 from ccreconfig.graph import (
     Configuration,
@@ -13,7 +23,7 @@ from ccreconfig.graph import (
     path_graph,
 )
 from ccreconfig.rules import (
-    ReconfSequence,
+    Result,
     Rule,
     adjacent,
     verify_sequence,
@@ -153,6 +163,30 @@ def test_verify_single_state_sequence():
     assert not verify_sequence(g, [[0, 1]], [1, 1], Rule.CS).ok
 
 
-def test_reconf_sequence_length():
-    seq = ReconfSequence(Rule.TJ, ((0,), (1,)))
-    assert seq.length == 1
+def test_result_distance():
+    assert Result(Rule.TJ, True, ((0,), (1,))).distance == 1
+    assert Result(Rule.TJ, True, ((0,),)).distance == 0
+    assert Result(Rule.TJ, False).distance is None
+
+
+def test_every_entry_point_returns_a_result():
+    p7, k4, c8 = path_graph(7), complete_graph(4), cycle_graph(8)
+    results = [
+        solve_path_cs(p7, [0, 2, 3], [1, 3, 4]),
+        solve_path_cs(p7, [0, 2, 3], [0, 1, 3]),
+        solve_path_cj(p7, [0, 2, 3, 4], [0, 1, 2, 4]),
+        solve_path_cj(path_graph(6), [0, 2, 3, 4], [0, 1, 2, 4]),
+        solve_cograph_cs(k4, [0, 1], [2, 3]),
+        solve_cograph_cs(k4, [0, 1], [2], variant=Rule.CS1),
+        solve_equal_size_cj(p7, [0, 1], [4, 5]),
+        solve_equal_size_cj(c8, [0, 1, 4, 5], [2, 3, 6, 7]),
+        oracle_solve(p7, [0, 2, 3], [1, 3, 4], Rule.CS),
+        oracle_solve(p7, [0, 1], [0, 2], Rule.CS),
+        expand_moves(p7, [0], solve_path_cs(p7, [0], [3]).moves, Rule.CS),
+    ]
+    answers = {None: "unknown", True: "yes", False: "no"}
+    for res in results:
+        assert type(res) is Result
+        assert res.answer == answers[res.reachable]
+        assert res.jumps is res.moves
+    assert {res.answer for res in results} == {"yes", "no", "unknown"}
