@@ -28,7 +28,6 @@ from .cographs import (
     solve_cograph_cs,
 )
 from .graph import (
-    Configuration,
     Graph,
     SizeMultiset,
     cc_multiset,

@@ -403,10 +403,10 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
-    return _fail(
-        EXIT_TOO_LARGE,
-        "out of memory; solve --compressed emits component moves instead of full states",
-    )
+    hint = ""
+    if args.command == "solve":
+        hint = "; solve --compressed emits component moves instead of full states"
+    return _fail(EXIT_TOO_LARGE, "out of memory" + hint)
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 
 Everything downstream (rules, solvers, the brute-force oracle) works on
 plain vertex subsets of these graphs.  Two subset representations are
-used: sorted tuples of ints for public results, and int bitmasks for the
-small-n hot paths (the oracle and the adjacency predicates).  Bitmask
-adjacency is built lazily so that large sparse graphs (the path and
-chordal solvers run at n = 10^5 and up) never pay for it.
+used: sorted tuples of ints for public results and the verifier, and
+int bitmasks for the oracle's small-n state search.  Bitmask adjacency
+is built lazily so that large sparse graphs (the path and chordal
+solvers run at n = 10^5 and up) never pay for it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "Graph",
     "MAX_VERTICES",
     "SizeMultiset",
-    "Configuration",
     "path_graph",
     "cycle_graph",
     "complete_graph",
@@ -319,39 +318,6 @@ class SizeMultiset(tuple):
 def cc_multiset(g: Graph, vertices: Iterable[int]) -> SizeMultiset:
     """Multiset of component sizes of G[vertices] (m(U) in the docs)."""
     return SizeMultiset(len(c) for c in connected_components(g, vertices))
-
-
-class Configuration:
-    """A vertex subset with its component decomposition computed once.
-
-    Equality and hashing look only at the vertex set, so configurations
-    are usable as dict keys and in seen-sets during searches.
-    """
-
-    def __init__(self, graph: Graph, vertices: Iterable[int]):
-        self.graph = graph
-        self.vertices = _clean_subset(graph, vertices)
-        self.components = tuple(connected_components(graph, self.vertices))
-        self.multiset = SizeMultiset(len(c) for c in self.components)
-
-    @cached_property
-    def mask(self) -> int:
-        return mask_of(self.vertices)
-
-    @cached_property
-    def component_masks(self) -> frozenset[int]:
-        return frozenset(mask_of(c) for c in self.components)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return self.vertices == other.vertices and self.graph == other.graph
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
-
-    def __repr__(self) -> str:
-        return f"Configuration({list(self.vertices)})"
 
 
 def co_components(g: Graph, subset: Iterable[int] | None = None) -> list[tuple[int, ...]]:

@@ -15,16 +15,18 @@ from typing import Iterable
 
 from .errors import InternalContradictionError, StateSpaceTooLargeError
 from .graph import (
-    Configuration,
     Graph,
     SizeMultiset,
+    _clean_subset,
     bits_of,
+    cc_multiset,
     components_masks,
     connected_k_subsets,
     is_connected_mask,
+    mask_of,
     vertices_of,
 )
-from .rules import Result, Rule, _adjacent_core
+from .rules import Result, Rule
 
 __all__ = [
     "DEFAULT_STATE_CAP",
@@ -132,22 +134,16 @@ def neighbors(space: StateSpace, i: int, rule: Rule) -> list[int]:
     u = space.states[i]
     index = space.index
     out: set[int] = set()
-    if rule in (Rule.TJ, Rule.TS, Rule.CS1):
+    if rule is Rule.TJ or rule is Rule.TS:
         adj = g.adj_masks
         free = g.full_mask & ~u
         for a in bits_of(u):
             targets = (adj[a] & free) if rule is Rule.TS else free
             stripped = u ^ (1 << a)
             for b in bits_of(targets):
-                w = stripped | (1 << b)
-                j = index.get(w)
-                if j is None:
-                    continue
-                if rule is Rule.CS1 and not _adjacent_core(
-                    g, u, space.components_of(i), w, space.components_of(j), rule
-                ):
-                    continue
-                out.add(j)
+                j = index.get(stripped | (1 << b))
+                if j is not None:
+                    out.add(j)
     else:
         for c in space.components_of(i):
             rest = u & ~c
@@ -155,7 +151,9 @@ def neighbors(space: StateSpace, i: int, rule: Rule) -> list[int]:
             for cmask, _ in space.pools[c.bit_count()]:
                 if cmask == c or cmask & blocked:
                     continue
-                if rule is Rule.CS and not is_connected_mask(g, c | cmask):
+                if rule is Rule.CS1 and (c & ~cmask).bit_count() != 1:
+                    continue
+                if rule is not Rule.CJ and not is_connected_mask(g, c | cmask):
                     continue
                 j = index.get(rest | cmask)
                 if j is None:
@@ -176,16 +174,16 @@ def oracle_solve(
 ) -> Result:
     """Exhaustive reachability with a shortest witness sequence; the
     result's space_size counts the states enumerated."""
-    ca = Configuration(g, a)
-    cb = Configuration(g, b)
-    if ca.multiset != cb.multiset:
+    va, vb = _clean_subset(g, a), _clean_subset(g, b)
+    ma = cc_multiset(g, va)
+    if ma != cc_multiset(g, vb):
         return Result(rule, False, reason="multiset-mismatch", space_size=0)
-    if ca.vertices == cb.vertices:
-        return Result(rule, True, (ca.vertices,), space_size=1)
-    space = enumerate_states(g, ca.multiset, state_cap=state_cap)
+    if va == vb:
+        return Result(rule, True, (va,), space_size=1)
+    space = enumerate_states(g, ma, state_cap=state_cap)
     try:
-        src = space.index[ca.mask]
-        dst = space.index[cb.mask]
+        src = space.index[mask_of(va)]
+        dst = space.index[mask_of(vb)]
     except KeyError:
         raise InternalContradictionError("endpoint missing from its own state space")
     parent = {src: -1}

@@ -20,7 +20,14 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvalidInstanceError
-from .graph import Configuration, Graph, SizeMultiset, is_connected_mask
+from .graph import (
+    Graph,
+    SizeMultiset,
+    _clean_subset,
+    _component,
+    cc_multiset,
+    is_connected_set,
+)
 
 if TYPE_CHECKING:
     from .chordal import ConflictGraph
@@ -53,61 +60,31 @@ class Rule(str, Enum):
             ) from None
 
 
-def _adjacent_core(
-    g: Graph,
-    u_mask: int,
-    u_comps: frozenset[int],
-    w_mask: int,
-    w_comps: frozenset[int],
-    rule: Rule,
-) -> bool:
-    if u_mask == w_mask:
-        return False
+def _one_move(g: Graph, u: set[int], w: set[int], rule: Rule) -> bool:
+    """Whether w is one move from u under the rule; both hold valid
+    vertices.  A component move swaps the component c of u that loses a
+    vertex for the component c2 of w that gains one, and leaves the rest
+    as it is: u - c == w - c2.  Costs two set differences plus a search
+    over c and c2 only."""
+    gone, new = u - w, w - u
     if rule is Rule.TJ or rule is Rule.TS:
-        gone = u_mask & ~w_mask
-        new = w_mask & ~u_mask
-        if gone.bit_count() != 1 or new.bit_count() != 1:
+        if len(gone) != 1 or len(new) != 1:
             return False
-        if rule is Rule.TS:
-            return bool(g.adj_masks[gone.bit_length() - 1] & new)
-        return True
-    if sorted(c.bit_count() for c in u_comps) != sorted(c.bit_count() for c in w_comps):
+        return rule is Rule.TJ or not g.adj[next(iter(gone))].isdisjoint(new)
+    if not gone or not new:
         return False
-    gone_comps = u_comps - w_comps
-    new_comps = w_comps - u_comps
-    if len(gone_comps) != 1 or len(new_comps) != 1:
+    c = set(_component(g, u, next(iter(gone)), set()))
+    c2 = set(_component(g, w, next(iter(new)), set()))
+    if not (len(c) == len(c2) and gone <= c and new <= c2 and c & w <= c2 and c2 & u <= c):
         return False
-    c = next(iter(gone_comps))
-    c2 = next(iter(new_comps))
-    if rule is Rule.CJ:
-        return True
-    if not is_connected_mask(g, c | c2):
+    if rule is Rule.CS1 and len(gone) != 1:
         return False
-    if rule is Rule.CS:
-        return True
-    return (c & ~c2).bit_count() == 1
+    return rule is Rule.CJ or is_connected_set(g, c | c2)
 
 
-def _as_config(g: Graph, subset: Configuration | Iterable[int]) -> Configuration:
-    if isinstance(subset, Configuration):
-        if subset.graph != g:
-            raise InvalidInstanceError("configuration belongs to a different graph")
-        return subset
-    return Configuration(g, subset)
-
-
-def adjacent(
-    g: Graph,
-    u: Configuration | Iterable[int],
-    w: Configuration | Iterable[int],
-    rule: Rule,
-) -> bool:
+def adjacent(g: Graph, u: Iterable[int], w: Iterable[int], rule: Rule) -> bool:
     """One-move adjacency between two subsets under the given rule."""
-    uc = _as_config(g, u)
-    wc = _as_config(g, w)
-    return _adjacent_core(
-        g, uc.mask, uc.component_masks, wc.mask, wc.component_masks, rule
-    )
+    return _one_move(g, set(_clean_subset(g, u)), set(_clean_subset(g, w)), rule)
 
 
 @dataclass(frozen=True)
@@ -164,23 +141,30 @@ def verify_sequence(
     component-size multiset and consecutive states must be one move
     apart.
 
+    Every state is checked for valid vertices before anything else.
+    Only two consecutive states are held as sets at a time, and each
+    move costs O(|U|) set work plus a search over the two components it
+    swaps.  Components of a whole state are found only for state 0, for
+    every state under TJ and TS, and for a state whose move failed: a
+    legal component move keeps the multiset.
+
     Scan order is multiset-of-state before adjacency-to-predecessor, so
     a state that breaks both is reported as a multiset violation at its
     own index; an adjacency violation is reported at the index of the
     first state of the offending pair.
     """
-    states = list(states)
+    states = [_clean_subset(g, s) for s in states]
     if not states:
         raise InvalidInstanceError("cannot verify an empty sequence")
-    configs = [_as_config(g, s) for s in states]
-    want = SizeMultiset(configs[0].multiset if multiset is None else multiset)
-    prev: Configuration | None = None
-    for i, cfg in enumerate(configs):
-        if cfg.multiset != want:
+    want = SizeMultiset(cc_multiset(g, states[0]) if multiset is None else multiset)
+    tokens = rule is Rule.TJ or rule is Rule.TS
+    prev: set[int] | None = None
+    for i, vs in enumerate(states):
+        cur = set(vs)
+        moved = prev is not None and _one_move(g, prev, cur, rule)
+        if (tokens or not moved) and cc_multiset(g, vs) != want:
             return VerifyResult(False, i, "multiset")
-        if prev is not None and not _adjacent_core(
-            g, prev.mask, prev.component_masks, cfg.mask, cfg.component_masks, rule
-        ):
+        if prev is not None and not moved:
             return VerifyResult(False, i - 1, "adjacency")
-        prev = cfg
+        prev = cur
     return VerifyResult(True)

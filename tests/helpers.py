@@ -80,6 +80,33 @@ def is_connected_bf(g: Graph, vertices) -> bool:
     return len(vs) > 0 and len(components_bf(g, vs)) == 1
 
 
+def adjacent_bf(g: Graph, u, w, rule) -> bool:
+    """One-move adjacency read straight off the rule definitions: a
+    token move exchanges one vertex (along an edge for TS); a component
+    move replaces exactly one component by a new one of the same size
+    and keeps every other component (CS: old and new together are
+    connected; CS1: and they differ in one vertex)."""
+    u, w = set(u), set(w)
+    if rule in ("TJ", "TS"):
+        gone, new = u - w, w - u
+        if len(gone) != 1 or len(new) != 1:
+            return False
+        (x,), (y,) = gone, new
+        return rule == "TJ" or (min(x, y), max(x, y)) in g.edges
+    cu, cw = set(components_bf(g, u)), set(components_bf(g, w))
+    gone, new = cu - cw, cw - cu
+    if len(gone) != 1 or len(new) != 1:
+        return False
+    (c,), (c2,) = gone, new
+    if len(c) != len(c2):
+        return False
+    if rule == "CJ":
+        return True
+    if not is_connected_bf(g, set(c) | set(c2)):
+        return False
+    return rule == "CS" or len(set(c) - set(c2)) == 1
+
+
 def complement_graph(g: Graph) -> Graph:
     edges = [
         (u, v)

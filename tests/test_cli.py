@@ -581,6 +581,21 @@ def test_out_of_memory_exits_4_and_names_compressed(tmp_path, capsys, monkeypatc
     assert len(err.splitlines()) == 1 and "--compressed" in json.loads(err)["error"]
 
 
+def test_out_of_memory_outside_solve_names_no_flag(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    inst = write(tmp_path, "i.json", P7_CJ)
+    seq = write(tmp_path, "s.json", [[0, 2, 3, 4], [0, 1, 2, 4]])
+    monkeypatch.setattr(cli, "verify_sequence", exhausted)
+    monkeypatch.setattr(cli, "oracle_solve", exhausted)
+    for argv in (["verify", inst, seq], ["oracle", inst]):
+        code, report, err = run(capsys, argv)
+        assert code == 4 and report is None
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "out of memory", argv
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_restores_the_collector(tmp_path, capsys, monkeypatch, enabled):
     good = write(tmp_path, "i.json", P7_CJ)
@@ -656,3 +671,34 @@ def test_shifted_path_cs_answers_in_bounded_memory(tmp_path):
     assert child.returncode == 0, child.stderr
     report = json.loads(child.stdout)
     assert len(report["moves"]) == report["stats"]["length"] == 33_334
+
+
+def test_full_state_cj_report_verifies_in_bounded_memory(tmp_path):
+    """1 000 far-apart single vertices on a 100 000-vertex path each jump
+    50 to the right: the chordal solver's full-state report (about
+    12 MB) must verify within a 2 GB address space."""
+    import resource
+
+    n = 100_000
+    a = [100 * i for i in range(1000)]
+    inst = write(tmp_path, "jump.json", {
+        "graph": {"n": n, "edges": [[p, p + 1] for p in range(n - 1)]},
+        "A": a, "B": [p + 50 for p in a], "rule": "CJ"})
+    report = tmp_path / "report.json"
+    with open(report, "w") as fh:
+        solved = subprocess.run(
+            [sys.executable, "-m", "ccreconfig.cli", "solve", inst, "--algorithm", "chordal"],
+            env=child_env(), stdout=fh, timeout=300,
+        )
+    assert solved.returncode == 0
+    limit = 2 * 1024 ** 3
+    child = subprocess.run(
+        [sys.executable, "-m", "ccreconfig.cli", "verify", inst, str(report)],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == {"ok": True, "rule": "CJ", "length": 1000}

@@ -7,7 +7,6 @@ import pytest
 import helpers
 from ccreconfig.errors import InvalidInstanceError
 from ccreconfig.graph import (
-    Configuration,
     Graph,
     SizeMultiset,
     cc_multiset,
@@ -121,17 +120,6 @@ def test_size_multiset():
     assert SizeMultiset() == ()
     with pytest.raises(InvalidInstanceError):
         SizeMultiset([0])
-
-
-def test_configuration_caches_structure():
-    g = path_graph(5)
-    c = Configuration(g, [3, 0, 1])
-    assert c.vertices == (0, 1, 3)
-    assert c.components == ((0, 1), (3,))
-    assert c.multiset == (1, 2)
-    assert c.mask == 0b01011
-    assert c == Configuration(g, [0, 1, 3])
-    assert hash(c) == hash(Configuration(g, [0, 1, 3]))
 
 
 def test_components_match_union_find_exhaustively():

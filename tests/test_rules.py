@@ -17,7 +17,6 @@ from ccreconfig import (
 )
 from ccreconfig.errors import InvalidInstanceError
 from ccreconfig.graph import (
-    Configuration,
     cc_multiset,
     mask_of,
     path_graph,
@@ -89,11 +88,40 @@ def test_single_vertex_slide_need_not_be_a_token_slide():
     assert not adjacent(g, [0, 1], [1, 2], Rule.TS)
 
 
-def test_adjacent_rejects_foreign_configuration():
-    g = path_graph(4)
-    other = path_graph(5)
-    with pytest.raises(InvalidInstanceError):
-        adjacent(g, Configuration(other, [0]), [1], Rule.TJ)
+def test_adjacent_matches_rule_definitions_exhaustively():
+    for n in range(0, 5):
+        subsets = [
+            [v for v in range(n) if mask >> v & 1] for mask in range(1 << n)
+        ]
+        for g in helpers.all_graphs(n):
+            for u in subsets:
+                for w in subsets:
+                    for r in ALL_RULES:
+                        assert adjacent(g, u, w, r) == helpers.adjacent_bf(g, u, w, r), (
+                            g.edges, u, w, r)
+
+
+def test_adjacent_matches_rule_definitions_on_random_graphs():
+    rng = random.Random(59)
+    hits = dict.fromkeys(ALL_RULES, 0)
+    for _ in range(1000):
+        n = rng.randint(5, 7)
+        g = helpers.random_graph(rng, n)
+        u = {v for v in range(n) if rng.random() < 0.5}
+        # half the probes are one or two vertex swaps away from u
+        w = set(u)
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 2)):
+                if w and len(w) < n:
+                    w.remove(rng.choice(sorted(w)))
+                    w.add(rng.choice([v for v in range(n) if v not in w]))
+        else:
+            w = {v for v in range(n) if rng.random() < 0.5}
+        for r in ALL_RULES:
+            got = adjacent(g, u, w, r)
+            assert got == helpers.adjacent_bf(g, u, w, r), (g.edges, u, w, r)
+            hits[r] += got
+    assert min(hits.values()) > 10, hits
 
 
 def _random_same_multiset_pair(rng, g):
