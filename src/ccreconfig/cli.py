@@ -34,7 +34,6 @@ from .graph import (
     _check_vertex_count,
     _clean_subset,
     cc_multiset,
-    is_chordal,
     parse_graph,
 )
 from .oracle import DEFAULT_STATE_CAP, build_reconfig_graph, export_dot, oracle_solve
@@ -132,9 +131,32 @@ def _load_instance(path: str, rule_flag: str | None):
     return g, a, b, rule, ma, mb, runs
 
 
+def _write_report(report: dict) -> None:
+    """Write the report to stdout exactly as json.dumps(report, indent=2)
+    and a newline would, one top-level value at a time.  With an indent
+    json.dumps runs the pure-Python encoder, so the states, which are
+    most of a full-state report, go out row by row as plain int text."""
+    out = sys.stdout
+    sep = "{\n  "
+    for key, value in report.items():
+        out.write(f"{sep}{json.dumps(key)}: ")
+        sep = ",\n  "
+        if key == "states":
+            row = "[\n    "
+            for s in value:
+                out.write(row + ("[\n      " + ",\n      ".join(map(str, s)) + "\n    ]"
+                                 if s else "[]"))
+                row = ",\n    "
+            out.write("\n  ]" if value else "[]")
+        else:
+            # a JSON string never holds a raw newline, so this only indents
+            out.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+    out.write("\n}\n")
+
+
 def _emit(report: dict) -> None:
     try:
-        print(json.dumps(report, indent=2))
+        _write_report(report)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone; what is still buffered goes to devnull, so
@@ -159,13 +181,15 @@ def _run_path(g, a, b, rule, args, runs):
 # algorithm -> (rules it decides, class test on (graph, multiset), runner
 # returning the solver's Result).  A runner's last argument is the pair
 # of position runs _load_instance took on a path host for a rule the
-# path solver decides, else None.  `auto` takes the first entry whose
-# rules hold the rule and whose class test passes.  Class tests and
-# runners look the solvers up by module name when they run, so a
-# rebound module attribute (a timing wrapper) is what they call.  The
-# chordal solver is sound on any host: a yes comes with its schedule,
-# and a cyclic conflict graph (impossible on a chordal host) stays
-# undecided instead of guessing.
+# path solver decides, else None.  `auto` tries the entries in order,
+# each whose rules hold the rule and whose class test passes, until one
+# decides; a class test runs only when its entry is reached.  Class
+# tests and runners look the solvers up by module name when they run,
+# so a rebound module attribute (a timing wrapper) is what they call.
+# The chordal solver is sound on any host: a yes comes with its
+# schedule, and a cyclic conflict graph (impossible on a chordal host)
+# stays undecided instead of guessing, so its class test asks only for
+# one component size and the oracle takes what it leaves undecided.
 SOLVERS = {
     "path": ((Rule.CS, Rule.CJ), lambda g, ms: is_path_graph(g), _run_path),
     "cograph": (
@@ -175,7 +199,7 @@ SOLVERS = {
     ),
     "chordal": (
         (Rule.CJ,),
-        lambda g, ms: len(set(ms)) <= 1 and is_chordal(g),
+        lambda g, ms: len(set(ms)) <= 1,
         lambda g, a, b, rule, args, runs: solve_equal_size_cj(
             g, a, b, want_states=not args.compressed
         ),
@@ -203,11 +227,13 @@ def _cmd_solve(args) -> int:
             }
         )
         return EXIT_NO
-    chosen = args.algorithm
-    if chosen == "auto":
-        chosen = next(name for name, (rules, fits, _) in SOLVERS.items()
-                      if rule in rules and fits(g, ma))
-    plan = [chosen] if args.fallback == "none" or chosen == "oracle" else [chosen, "oracle"]
+    if args.algorithm == "auto":
+        plan = (name for name, (rules, fits, _) in SOLVERS.items()
+                if rule in rules and fits(g, ma))
+    elif args.fallback == "none" or args.algorithm == "oracle":
+        plan = [args.algorithm]
+    else:
+        plan = [args.algorithm, "oracle"]
     start = time.perf_counter()
     for algorithm in plan:
         rules, _, run = SOLVERS[algorithm]
@@ -219,7 +245,7 @@ def _cmd_solve(args) -> int:
                 )
             res = run(g, a, b, rule, args, runs)
         except (WrongGraphClassError, UnequalSizesError, InvalidInstanceError):
-            if algorithm == plan[-1]:
+            if args.fallback == "none" or algorithm == "oracle":
                 raise
             continue
         if res.reachable is not None:
@@ -239,18 +265,19 @@ def _cmd_solve(args) -> int:
     if res.reason:
         report["reason"] = res.reason
     if res.states is not None:
-        report["states"] = [list(s) for s in res.states]
+        report["states"] = res.states
     if res.moves is not None:
         # path moves, or the equal-size solver's (source, target) jumps
         report["moves"] = [
             mv.to_json() if isinstance(mv, CompressedMove) else [list(mv[0]), list(mv[1])]
             for mv in res.moves
         ]
+    # the answer goes out before the export, which may outgrow --state-cap
+    _emit(report)
     if args.export_dot:
         rg = build_reconfig_graph(g, ma, rule, state_cap=args.state_cap)
         with open(args.export_dot, "w", encoding="utf-8") as fh:
             fh.write(export_dot(rg))
-    _emit(report)
     return _ANSWER_CODES[res.answer]
 
 

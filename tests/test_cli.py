@@ -18,7 +18,7 @@ from ccreconfig import Graph, Rule, cc_multiset, cli, verify_sequence
 from ccreconfig.cli import main
 from ccreconfig.generators import gen_chordal_instance, gen_cograph_instance, gen_path_instance
 
-from helpers import threshold_graph
+from helpers import random_graph, threshold_graph
 
 P7_CJ = {
     "graph": {"n": 7, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6]]},
@@ -119,6 +119,54 @@ def test_auto_dispatch(tmp_path, capsys):
     ts = dict(P7_CJ, rule="TS")
     code, report, _ = run(capsys, ["solve", write(tmp_path, "ts.json", ts)])
     assert report["algorithm"] == "oracle"
+
+
+def _uniform_pairs(rng, g, count):
+    """Up to count random pairs of distinct subsets of g whose components
+    all have one size, A's multiset equal to B's."""
+    groups = {}
+    for mask in range(1 << g.n):
+        subset = [v for v in range(g.n) if mask >> v & 1]
+        ms = cc_multiset(g, subset)
+        if len(set(ms)) <= 1:
+            groups.setdefault(ms, []).append(subset)
+    pairs = [(a, b) for group in groups.values() for a in group for b in group if a < b]
+    return rng.sample(pairs, min(count, len(pairs)))
+
+
+def test_auto_matches_the_oracle_on_equal_size_cj(tmp_path, capsys):
+    """Under auto, equal-size CJ goes to the equal-size solver on any
+    host and on to the oracle when that leaves it undecided; the answer
+    and exit code are the oracle's, and every yes witness verifies."""
+    rng = random.Random(11)
+    seen = {}  # algorithm -> chordality of the hosts it answered on
+    cases = {True: 0, False: 0}
+    while min(cases.values()) < 150:
+        g = random_graph(rng, rng.randint(3, 6), rng.choice([0.3, 0.5, 0.7]))
+        chordal = ccreconfig.is_chordal(g)
+        if cases[chordal] >= 150:
+            continue
+        for a, b in _uniform_pairs(rng, g, 4):
+            cases[chordal] += 1
+            inst = write(tmp_path, "i.json", {
+                "graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
+                "A": a, "B": b, "rule": "CJ"})
+            auto = run(capsys, ["solve", inst])
+            oracle = run(capsys, ["solve", inst, "--algorithm", "oracle"])
+            assert (auto[0], auto[1]["answer"]) == (oracle[0], oracle[1]["answer"]), (g.edges, a, b)
+            seen.setdefault(auto[1]["algorithm"], set()).add(chordal)
+            for code, report, _ in (auto, oracle):
+                if code == 0:
+                    assert verify_sequence(g, report["states"], cc_multiset(g, a), rule=Rule.CJ)
+    # a non-chordal host is decided by the equal-size solver when its
+    # conflict graph is a forest, and by the oracle when it has a cycle
+    assert seen["chordal"] == {True, False} and seen["oracle"] == {False}
+
+    c4 = {"graph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]},
+          "A": [0, 2], "B": [1, 3], "rule": "CJ"}
+    code, report, _ = run(capsys, ["solve", write(tmp_path, "c4.json", c4)])
+    assert report["algorithm"] == "oracle"
+    assert (code, report["answer"]) == (1, "no")
 
 
 def test_rule_flag_overrides(tmp_path, capsys):
@@ -256,6 +304,16 @@ def test_export_dot(tmp_path, capsys):
     text = dot.read_text()
     assert text.startswith("graph {")
     assert '[label="{0,2}"]' in text
+
+
+def test_export_over_the_cap_still_prints_the_answer(tmp_path, capsys):
+    _, inst, _ = run(capsys, ["gen", "--kind", "path", "--n", "60", "--seed", "1"])
+    path = write(tmp_path, "i.json", inst)
+    dot = tmp_path / "space.dot"
+    code, report, err = run(
+        capsys, ["solve", path, "--export-dot", str(dot), "--state-cap", "10000"])
+    assert code == 4 and report["answer"] == "no"
+    assert len(err.splitlines()) == 1 and "cap" in json.loads(err)["error"]
 
 
 def test_gen_kinds(tmp_path, capsys):
@@ -528,7 +586,7 @@ def _main_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
@@ -547,7 +605,7 @@ def test_arbitrary_input_ends_in_a_documented_exit(inst, flags, seq):
         path.write_text(json.dumps(inst))
         seq_path.write_text(json.dumps(seq))
         for argv in (["solve", str(path), *flags], ["verify", str(path), str(seq_path)]):
-            code, err = _main_quietly(argv)
+            code, _, err = _main_quietly(argv)
             assert code in (0, 1, 2, 3, 4)
             if err:
                 assert len(err.splitlines()) == 1 and "error" in json.loads(err)
@@ -558,7 +616,7 @@ def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(tmp_path):
     g, a, b = gen_path_instance(random.Random(2), 3000)
     inst = write(tmp_path, "i.json", {"graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
                                       "A": list(a), "B": list(b), "rule": "CJ"})
-    expected, _ = _main_quietly(["solve", inst])
+    expected, _, _ = _main_quietly(["solve", inst])
     child = subprocess.Popen(
         [sys.executable, "-m", "ccreconfig.cli", "solve", inst],
         env=child_env(),
@@ -702,3 +760,68 @@ def test_full_state_cj_report_verifies_in_bounded_memory(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout) == {"ok": True, "rule": "CJ", "length": 1000}
+
+
+def _stdout(argv):
+    return _main_quietly(argv)[1]
+
+
+def assert_indent_2(text, what):
+    assert text == json.dumps(json.loads(text), indent=2) + "\n", what
+
+
+def test_reports_are_laid_out_as_json_dumps_indent_2(tmp_path):
+    """The report writer streams its output; byte for byte it must be
+    what json.dumps(report, indent=2) and a newline give."""
+    golden = Path(__file__).parent / "data" / "golden_solve.jsonl"
+    for line in golden.read_text().splitlines():
+        case = json.loads(line)
+        text = _stdout(["solve", write(tmp_path, "i.json", case["instance"]), *case["flags"]])
+        assert bool(text) == (case["expect"]["report"] is not None), case["name"]
+        if text:
+            assert_indent_2(text, case["name"])
+
+    inst = _stdout(["gen", "--kind", "chordal", "--n", "30", "--seed", "2"])
+    assert_indent_2(inst, "gen")
+    path = write(tmp_path, "i.json", json.loads(inst))
+    report = _stdout(["solve", path])
+    assert json.loads(report)["states"]
+    verified = _stdout(["verify", path, write(tmp_path, "r.json", json.loads(report))])
+    assert_indent_2(verified, "verify")
+
+    empty = write(tmp_path, "e.json", {"graph": {"n": 3, "edges": [[0, 1]]},
+                                       "A": [], "B": [], "rule": "CJ"})
+    text = _stdout(["solve", empty])
+    assert json.loads(text)["states"] == [[]]
+    assert_indent_2(text, "empty state")
+
+
+def test_full_state_report_is_written_in_bounded_memory(tmp_path):
+    """4 246 full states of a 20 000-vertex path, a 224 MB report, must
+    be written within a 600 MB address space: the states go out row by
+    row, never as one string."""
+    import resource
+
+    inst = tmp_path / "i.json"
+    inst.write_text(_stdout(["gen", "--kind", "path", "--n", "20000", "--parts", "80",
+                             "--seed", "1", "--rule", "CJ"]))
+    report = tmp_path / "report.json"
+    limit = 600 * 1024 ** 2
+    with open(report, "w") as fh:
+        child = subprocess.run(
+            [sys.executable, "-m", "ccreconfig.cli", "solve", str(inst)],
+            env=child_env(),
+            stdout=fh,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=300,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+    assert child.returncode == 0, child.stderr
+    with open(report) as fh:
+        head = fh.read(4096)
+        fh.seek(report.stat().st_size - 3)
+        assert fh.read() == "\n}\n"
+    # stats precede the states, so the head alone holds the length
+    top = json.loads(head[:head.index(',\n  "states": [')] + "\n}")
+    assert top["answer"] == "yes" and top["stats"]["length"] == 4246

@@ -69,7 +69,7 @@ def _dispatch_calls(tmp_path, capsys, monkeypatch, inst):
     """Solve the instance with auto dispatch; the report's algorithm and
     the calls made to each class check and to the equal-size solver."""
     names = ("_walk_path", "_build_cotree", "is_chordal", "solve_equal_size_cj")
-    modules = (paths, cographs, cli, cli)
+    modules = (paths, cographs, graph, cli)
     calls = {name: counted(monkeypatch, mod, name) for mod, name in zip(modules, names)}
     path = tmp_path / "i.json"
     path.write_text(json.dumps(inst))
@@ -79,13 +79,15 @@ def _dispatch_calls(tmp_path, capsys, monkeypatch, inst):
 
 
 def test_dispatch_runs_only_the_class_checks_it_needs(tmp_path, capsys, monkeypatch):
-    # a star is chordal, a cograph and not a path; CJ never asks for a cotree
+    # a star is chordal, a cograph and not a path; CJ never asks for a
+    # cotree, and equal-size CJ is decided without a chordality test
     star = {"graph": {"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}, "A": [1], "B": [2]}
     with monkeypatch.context() as m:
         algorithm, calls = _dispatch_calls(tmp_path, capsys, m, dict(star, rule="CJ"))
     assert algorithm == "chordal"
     assert calls["_build_cotree"] == 0
-    assert calls["is_chordal"] == 1 and calls["solve_equal_size_cj"] == 1
+    assert calls["is_chordal"] == 0 and calls["solve_equal_size_cj"] == 1
+    assert not hasattr(cli, "is_chordal")  # no copy the count would miss
 
     p5 = {"graph": {"n": 5, "edges": [[i, i + 1] for i in range(4)]}, "A": [0, 2], "B": [1, 4]}
     for rule in ("TJ", "TS"):
