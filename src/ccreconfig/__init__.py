@@ -52,7 +52,6 @@ from .oracle import (
 )
 from .paths import (
     CompressedMove,
-    buffer,
     expand_moves,
     is_path_graph,
     path_order,

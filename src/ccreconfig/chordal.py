@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InternalContradictionError, UnequalSizesError
-from .graph import Graph, _clean_subset, connected_components
+from .graph import Graph, _clean_subset, _replay_jumps, connected_components
 from .rules import Result, Rule
 
 __all__ = [
@@ -160,16 +160,3 @@ def solve_equal_size_cj(
     states = _replay_jumps(va, jumps) if want_states else None
     return Result(Rule.CJ, True, states, jumps, conflicts=cg)
 
-
-def _replay_jumps(
-    a: Iterable[int], jumps: Iterable[tuple[Iterable[int], Iterable[int]]]
-) -> tuple[tuple[int, ...], ...]:
-    """States after each (source, target) jump from a, applied as plain
-    set updates; whether they are legal moves is for the verifier."""
-    current = set(a)
-    states = [tuple(sorted(current))]
-    for src, dst in jumps:
-        current.difference_update(src)
-        current.update(dst)
-        states.append(tuple(sorted(current)))
-    return tuple(states)

@@ -18,7 +18,7 @@ import sys
 import time
 from typing import Any
 
-from .chordal import _replay_jumps, solve_equal_size_cj
+from .chordal import solve_equal_size_cj
 from .cographs import is_cograph, solve_cograph_cs
 from .errors import (
     InvalidInstanceError,
@@ -33,6 +33,7 @@ from .graph import (
     SizeMultiset,
     _check_vertex_count,
     _clean_subset,
+    _replay_jumps,
     cc_multiset,
     parse_graph,
 )
@@ -131,32 +132,49 @@ def _load_instance(path: str, rule_flag: str | None):
     return g, a, b, rule, ma, mb, runs
 
 
-def _write_report(report: dict) -> None:
-    """Write the report to stdout exactly as json.dumps(report, indent=2)
-    and a newline would, one top-level value at a time.  With an indent
-    json.dumps runs the pure-Python encoder, so the states, which are
-    most of a full-state report, go out row by row as plain int text."""
-    out = sys.stdout
-    sep = "{\n  "
-    for key, value in report.items():
-        out.write(f"{sep}{json.dumps(key)}: ")
-        sep = ",\n  "
-        if key == "states":
-            row = "[\n    "
-            for s in value:
-                out.write(row + ("[\n      " + ",\n      ".join(map(str, s)) + "\n    ]"
-                                 if s else "[]"))
-                row = ",\n    "
-            out.write("\n  ]" if value else "[]")
-        else:
-            # a JSON string never holds a raw newline, so this only indents
-            out.write(json.dumps(value, indent=2).replace("\n", "\n  "))
-    out.write("\n}\n")
+class _Text(dict):
+    """JSON text of the ints and dict keys of one report, made on first use."""
+
+    def __missing__(self, key: int | str) -> str:
+        text = self[key] = str(key) if type(key) is int else json.dumps(key)
+        return text
+
+
+def _write(out, value: Any, pad: str, text: _Text) -> None:
+    """Write value with out as json.dumps(value, indent=2) lays it out
+    when it starts on a line indented as pad (a newline and spaces): a
+    list of ints in one piece joined from text, other lists and dicts
+    item by item, so no long list (states, moves, edges) is one string.
+    Each list in a report holds one kind of item, known by its first."""
+    inner = pad + "  "
+    if type(value) is int:
+        out(text[value])
+    elif type(value) in (list, tuple) and value and type(value[0]) is int:
+        out("[" + inner + ("," + inner).join(map(text.__getitem__, value)) + pad + "]")
+    elif type(value) is dict and value:
+        sep = "{"
+        for k, v in value.items():
+            out(f"{sep}{inner}{text[k]}: ")
+            _write(out, v, inner, text)
+            sep = ","
+        out(pad + "}")
+    elif type(value) in (list, tuple) and value:
+        sep = "["
+        for v in value:
+            out(sep + inner)
+            _write(out, v, inner, text)
+            sep = ","
+        out(pad + "]")
+    else:
+        out(json.dumps(value))
 
 
 def _emit(report: dict) -> None:
+    """Write the report to stdout exactly as json.dumps(report, indent=2)
+    and a newline would, without its pure-Python indent encoder."""
     try:
-        _write_report(report)
+        _write(sys.stdout.write, report, "\n", _Text())
+        sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone; what is still buffered goes to devnull, so
@@ -268,10 +286,8 @@ def _cmd_solve(args) -> int:
         report["states"] = res.states
     if res.moves is not None:
         # path moves, or the equal-size solver's (source, target) jumps
-        report["moves"] = [
-            mv.to_json() if isinstance(mv, CompressedMove) else [list(mv[0]), list(mv[1])]
-            for mv in res.moves
-        ]
+        report["moves"] = [mv.to_json() if isinstance(mv, CompressedMove) else mv
+                           for mv in res.moves]
     # the answer goes out before the export, which may outgrow --state-cap
     _emit(report)
     if args.export_dot:
@@ -336,15 +352,8 @@ def _cmd_gen(args) -> int:
     else:
         g, a, b = gen_chordal_instance(rng, args.n, size=args.size, count=args.count)
         rule = args.rule or "CJ"
-    _emit(
-        {
-            "graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
-            "A": list(a),
-            "B": list(b),
-            "rule": Rule.parse(rule).value,
-            "seed": args.seed,
-        }
-    )
+    _emit({"graph": {"n": g.n, "edges": g.edges}, "A": a, "B": b,
+           "rule": Rule.parse(rule).value, "seed": args.seed})
     return EXIT_YES
 
 

@@ -10,6 +10,7 @@ solvers run at n = 10^5 and up) never pay for it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -229,15 +230,43 @@ def vertices_of(mask: int) -> tuple[int, ...]:
 
 def _clean_subset(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
     vs = sorted(vertices)
-    prev = None
-    for v in vs:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InvalidInstanceError(f"vertex ids must be ints, got {v!r}")
-        g._check_vertex(v)
-        if v == prev:
-            raise InvalidInstanceError(f"duplicate vertex {v} in subset")
-        prev = v
+    if vs and not (set(map(type, vs)) == {int} and 0 <= vs[0] and vs[-1] < g.n
+                   and len(set(vs)) == len(vs)):
+        # the slow pass words the error, and passes int subclasses
+        prev = None
+        for v in vs:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise InvalidInstanceError(f"vertex ids must be ints, got {v!r}")
+            g._check_vertex(v)
+            if v == prev:
+                raise InvalidInstanceError(f"duplicate vertex {v} in subset")
+            prev = v
     return tuple(vs)
+
+
+def _replay_jumps(
+    start: Iterable[int], jumps: Iterable[tuple[Iterable[int], Iterable[int]]]
+) -> tuple[tuple[int, ...], ...]:
+    """States after each (source, target) jump from start, a sorted subset
+    without repeats, applied as plain set updates (legality is for the
+    verifier).  The state stays one sorted list, edited by slices at
+    bisected indices: O(s log k) steps for s moved vertices, no sort."""
+    cur, have = list(start), set(start)
+    states = [tuple(cur)]
+    for src, dst in jumps:
+        dst = set(dst)
+        gone, new = have.intersection(src) - dst, dst - have
+        have ^= gone | new  # gone lies in have, new outside it
+        merged, last = [], 0
+        # (index in cur, whether to drop the vertex there or add v before it, v)
+        for i, drop, v in sorted((bisect_left(cur, v), v in gone, v) for v in gone | new):
+            merged += cur[last:i]
+            if not drop:
+                merged.append(v)
+            last = i + drop
+        cur = merged + cur[last:]
+        states.append(tuple(cur))
+    return tuple(states)
 
 
 def _component(g: Graph, inside: set[int], s: int, seen: set[int]) -> list[int]:

@@ -16,16 +16,15 @@ after).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvalidInstanceError, WrongGraphClassError
-from .graph import Graph, SizeMultiset, _clean_subset
+from .graph import Graph, _clean_subset, _replay_jumps
 from .rules import Result, Rule
 
 __all__ = [
     "path_order",
     "is_path_graph",
-    "buffer",
     "CompressedMove",
     "solve_path_cs",
     "solve_path_cj",
@@ -36,29 +35,28 @@ __all__ = [
 def _walk_path(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Path order from the endpoint with the smaller id, and the position
     of each vertex in it.  Raises if the graph is not a path."""
-    n = g.n
+    n, adj = g.n, g.adj
     if n <= 1:
         return tuple(range(n)), tuple(range(n))
     if g.m != n - 1:
         raise WrongGraphClassError(f"not a path: {g.m} edges for {n} vertices")
-    ends = []
-    for v in range(n):
-        d = len(g.adj[v])
-        if d > 2:
-            raise WrongGraphClassError(f"not a path: vertex {v} has degree {d}")
-        if d == 1:
-            ends.append(v)
-    if len(ends) != 2:
+    degs = list(map(len, adj))
+    if max(degs) > 2:
+        v = next(v for v, d in enumerate(degs) if d > 2)
+        raise WrongGraphClassError(f"not a path: vertex {v} has degree {degs[v]}")
+    if degs.count(1) != 2:
         raise WrongGraphClassError("not a path: endpoint count is not 2")
-    order = [min(ends)]
-    prev = -1
-    while len(order) < n:
-        cur = order[-1]
-        nxt = [u for u in g.adj[cur] if u != prev]
-        if not nxt:
-            raise WrongGraphClassError("not a path: walk ended early")
-        prev = cur
-        order.append(nxt[0])
+    # every other vertex has degree 2: a path, plus cycles if the walk
+    # ends early.  A step goes to sum(adj[cur]) - prev (prev 0 at start).
+    start = degs.index(1)
+    end = degs.index(1, start + 1)
+    order, prev, cur = [], 0, start
+    while cur != end:
+        order.append(cur)
+        prev, cur = cur, sum(adj[cur]) - prev
+    order.append(end)
+    if len(order) != n:
+        raise WrongGraphClassError("not a path: walk ended early")
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -77,9 +75,9 @@ def is_path_graph(g: Graph) -> bool:
     return g.path_layout is not None
 
 
-def _positions(g: Graph, subset: Iterable[int]) -> tuple[tuple[int, ...], list[int]]:
-    order = path_order(g)
-    return order, _sorted_positions(g, _clean_subset(g, subset))
+def _positions(g: Graph, subset: Iterable[int]) -> list[int]:
+    path_order(g)  # raises if g is not a path
+    return _sorted_positions(g, _clean_subset(g, subset))
 
 
 def _sorted_positions(g: Graph, vertices: Iterable[int]) -> list[int]:
@@ -113,12 +111,6 @@ def _tagged(profile: Iterable[int]) -> list[tuple[int, int]]:
         seen[size] = seen.get(size, 0) + 1
         entries.append((size, seen[size]))
     return entries
-
-
-def buffer(n: int, subset: Sequence[int], k: int) -> int:
-    """Free positions at the right end once the subset is packed to the
-    left with k components and one gap after the last of them."""
-    return n - len(subset) - k
 
 
 @dataclass(frozen=True)
@@ -161,7 +153,7 @@ def solve_path_cs(
 ) -> Result:
     """Component slides on a path: feasible iff the two profiles are
     literally equal; the witness is a shortest one."""
-    return _solve_cs(_runs(_positions(g, a)[1]), _runs(_positions(g, b)[1]), want_moves)
+    return _solve_cs(_runs(_positions(g, a)), _runs(_positions(g, b)), want_moves)
 
 
 def _solve_cs(
@@ -203,7 +195,7 @@ def solve_path_cj(
 ) -> Result:
     """Component jumps on a path: sort the profile by bubble sort, three
     jumps per swapped pair, using the right buffer as parking space."""
-    return _solve_cj(g.n, _runs(_positions(g, a)[1]), _runs(_positions(g, b)[1]), want_moves)
+    return _solve_cj(g.n, _runs(_positions(g, a)), _runs(_positions(g, b)), want_moves)
 
 
 def _solve_cj(
@@ -218,7 +210,9 @@ def _solve_cj(
     k = len(runs_a)
     # equal sizes never need to pass each other, so a pair that cannot
     # swap exists iff the sizes above the buffer appear in another order
-    free = n - occupied - k  # buffer(n, A, k)
+    # the buffer: free positions once A is packed left with a gap after
+    # each component
+    free = n - occupied - k
     if [s for s in profile_a if s > free] != [s for s in profile_b if s > free]:
         return Result(Rule.CJ, False, reason="buffer-exceeded")
     if not want_moves:
@@ -256,26 +250,26 @@ def expand_moves(
     g: Graph, a: Iterable[int], moves: Iterable[CompressedMove], rule: Rule
 ) -> Result:
     """Replay compressed moves into the full state sequence (vertex ids,
-    not positions), returned with the moves."""
+    not positions), returned with the moves.  Each move is checked on a
+    position occupancy in O(size), then replayed as a vertex jump."""
     moves = tuple(moves)
-    order, pos_a = _positions(g, a)
+    order = path_order(g)
+    va = _clean_subset(g, a)
     n = len(order)
-    current = set(pos_a)
-
-    def snapshot() -> tuple[int, ...]:
-        return tuple(sorted(order[p] for p in current))
-
-    states = [snapshot()]
+    occ = bytearray(n + 2)  # occ[p + 1] is 1 if position p is taken
+    for p in _sorted_positions(g, va):
+        occ[p + 1] = 1
+    jumps = []
     for mv in moves:
-        if mv.src < 0 or mv.src + mv.size > n or mv.dst < 0 or mv.dst + mv.size > n:
+        size, src, dst = mv.size, mv.src, mv.dst
+        if src < 0 or src + size > n or dst < 0 or dst + size > n:
             raise InvalidInstanceError(f"move {mv} leaves the path")
-        seg = set(range(mv.src, mv.src + mv.size))
-        if not seg <= current or (mv.src - 1) in current or (mv.src + mv.size) in current:
+        # taken positions src .. src + size - 1, free ones on either side
+        if occ[src:src + size + 2] != b"\0" + b"\1" * size + b"\0":
             raise InvalidInstanceError(f"move {mv} does not lift a whole component")
-        rest = current - seg
-        new_seg = set(range(mv.dst, mv.dst + mv.size))
-        if new_seg & rest:
+        occ[src + 1:src + size + 1] = bytes(size)
+        if 1 in occ[dst + 1:dst + size + 1]:
             raise InvalidInstanceError(f"move {mv} lands on another component")
-        current = rest | new_seg
-        states.append(snapshot())
-    return Result(rule, True, tuple(states), moves)
+        occ[dst + 1:dst + size + 1] = b"\1" * size
+        jumps.append((order[src:src + size], order[dst:dst + size]))
+    return Result(rule, True, _replay_jumps(va, jumps), moves)

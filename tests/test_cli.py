@@ -433,6 +433,39 @@ def test_verify_chordal_compressed_jumps(tmp_path, capsys):
         assert code == 3 and "error" in json.loads(err)
 
 
+def test_verify_replays_jumps_as_set_updates(tmp_path, capsys):
+    """Report jumps are replayed as plain set updates whatever they hold:
+    an absent source vertex is skipped, a repeat counts once and a target
+    already in the state stays once; the verifier then names the first
+    bad state."""
+    _, inst, _ = run(
+        capsys,
+        ["gen", "--kind", "chordal", "--n", "60", "--size", "2", "--count", "3",
+         "--seed", "4"],
+    )
+    path = write(tmp_path, "i.json", inst)
+    _, report, _ = run(capsys, ["solve", path, "--compressed"])
+    (src, dst), (src1, dst1), last = report["moves"]
+    assert last[0][0] in inst["A"]
+    free = next(v for v in range(inst["graph"]["n"]) if v not in inst["A"] + inst["B"])
+    ok = {"ok": True, "rule": "CJ", "length": 3}
+    cases = [
+        ([[src + [free], dst], [src1, dst1], last], ok),
+        ([[src + src, dst + dst[::-1]], [src1, dst1], last], ok),
+        ([[src, dst + [last[0][0]]], [src1, dst1], last], ok),
+        ([[src, []], [[], dst], [src1, dst1], last],
+         {"ok": False, "index": 1, "condition": "multiset"}),
+        ([[src, dst + [free]], [src1 + [free], dst1], last],
+         {"ok": False, "index": 1, "condition": "multiset"}),
+        ([[src + src1, dst + dst1], last], {"ok": False, "index": 0, "condition": "adjacency"}),
+    ]
+    for moves, want in cases:
+        code, outcome, _ = run(capsys, ["verify", path,
+                                        write(tmp_path, "r.json", dict(report, moves=moves))])
+        assert outcome == want, moves
+        assert code == (0 if want["ok"] else 1)
+
+
 GOOD = {"graph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "A": [0], "B": [3],
         "rule": "CJ"}
 
@@ -786,6 +819,16 @@ def test_reports_are_laid_out_as_json_dumps_indent_2(tmp_path):
     path = write(tmp_path, "i.json", json.loads(inst))
     report = _stdout(["solve", path])
     assert json.loads(report)["states"]
+    jumps = _stdout(["solve", path, "--compressed"])
+    assert all(len(mv) == 2 for mv in json.loads(jumps)["moves"])
+    assert_indent_2(jumps, "chordal jumps")
+
+    path_inst = _stdout(["gen", "--kind", "path", "--n", "40", "--parts", "4", "--seed", "3",
+                         "--rule", "CJ"])
+    assert_indent_2(path_inst, "gen path")
+    moves = _stdout(["solve", write(tmp_path, "p.json", json.loads(path_inst)), "--compressed"])
+    assert json.loads(moves)["moves"]
+    assert_indent_2(moves, "path moves")
     verified = _stdout(["verify", path, write(tmp_path, "r.json", json.loads(report))])
     assert_indent_2(verified, "verify")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import enum
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from ccreconfig.errors import InvalidInstanceError
 from ccreconfig.graph import (
     Graph,
     SizeMultiset,
+    _clean_subset,
+    _replay_jumps,
     cc_multiset,
     co_components,
     complete_graph,
@@ -112,6 +115,47 @@ def test_subset_validation():
         connected_components(g, [5])
     with pytest.raises(InvalidInstanceError):
         connected_components(g, [1.5])
+
+
+def test_clean_subset_words_each_fault():
+    g = path_graph(3)
+    for bad, message in (
+        ([0, True], "vertex ids must be ints, got True"),
+        ([1.5, 0], "vertex ids must be ints, got 1.5"),
+        ([2, -1], "vertex -1 out of range for n=3"),
+        ([3, 0], "vertex 3 out of range for n=3"),
+        ([2, 1, 1], "duplicate vertex 1 in subset"),
+    ):
+        with pytest.raises(InvalidInstanceError) as info:
+            _clean_subset(g, bad)
+        assert str(info.value) == message
+    assert _clean_subset(g, [2, 0]) == (0, 2)
+    assert _clean_subset(g, []) == ()
+
+    class Vertex(enum.IntEnum):
+        LEFT = 0
+        RIGHT = 2
+
+    assert _clean_subset(g, [Vertex.RIGHT, 1, Vertex.LEFT]) == (0, 1, 2)
+
+
+def test_replay_jumps_matches_set_updates():
+    """Jumps are plain set updates, also when a source vertex is absent,
+    a vertex repeats, or a target overlaps the state."""
+    rng = random.Random(20251019)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        state = set(rng.sample(range(n), rng.randint(0, n)))
+        start = tuple(sorted(state))
+        jumps, want = [], [start]
+        for _ in range(rng.randint(0, 6)):
+            src = [rng.randrange(n) for _ in range(rng.randint(0, 4))]
+            dst = [rng.randrange(n) for _ in range(rng.randint(0, 4))]
+            jumps.append((src, dst))
+            state.difference_update(src)
+            state.update(dst)
+            want.append(tuple(sorted(state)))
+        assert _replay_jumps(start, jumps) == tuple(want)
 
 
 def test_size_multiset():

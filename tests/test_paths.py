@@ -12,7 +12,6 @@ from ccreconfig import (
     Rule,
     SizeMultiset,
     WrongGraphClassError,
-    buffer,
     cc_multiset,
     expand_moves,
     is_path_graph,
@@ -54,6 +53,26 @@ def test_path_order_rejects(g):
     with pytest.raises(WrongGraphClassError):
         path_order(g)
     assert not is_path_graph(g)
+
+
+@pytest.mark.parametrize(
+    "g, reason",
+    [
+        (Graph(4, [(0, 1), (1, 2)]), "not a path: 2 edges for 4 vertices"),
+        (Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)]), "not a path: vertex 1 has degree 3"),
+        # the lowest vertex above degree 2 is named, not the highest degree
+        (Graph(8, [(1, 0), (1, 2), (1, 3), (3, 4), (4, 5), (4, 6), (4, 7)]),
+         "not a path: vertex 1 has degree 3"),
+        (Graph(4, [(0, 1), (1, 2), (2, 0)]), "not a path: endpoint count is not 2"),
+        # n - 1 edges, degrees at most 2, two endpoints: a path 0-1 and
+        # a disjoint triangle, so the walk meets the far endpoint early
+        (Graph(5, [(0, 1), (2, 3), (3, 4), (4, 2)]), "not a path: walk ended early"),
+    ],
+)
+def test_path_order_says_why_not_a_path(g, reason):
+    with pytest.raises(WrongGraphClassError) as info:
+        path_order(g)
+    assert str(info.value) == reason
 
 
 def _placed(profile, n):
@@ -129,12 +148,6 @@ def test_cj_decision_matches_pairwise_rule():
                     assert res.reachable != _blocked_pair(sizes, perm, free)
 
 
-def test_buffer():
-    assert buffer(7, [0, 2, 3, 4], 2) == 1
-    assert buffer(6, [0, 2, 3, 4], 2) == 0
-    assert buffer(5, [0, 1, 2, 4], 2) == -1
-
-
 def test_compressed_move_json():
     mv = CompressedMove(3, 2, 0)
     assert mv.to_json() == {"size": 3, "from": 2, "to": 0}
@@ -196,6 +209,56 @@ def test_expand_rejects_bad_moves():
         expand_moves(g, [0, 1, 3], [CompressedMove(2, 0, 2)], Rule.CJ)
     with pytest.raises(InvalidInstanceError):
         expand_moves(g, [0, 1], [CompressedMove(2, 0, 5)], Rule.CJ)
+    # a size below 0 lifts nothing that is a component
+    with pytest.raises(InvalidInstanceError, match="does not lift a whole component"):
+        expand_moves(g, [0, 1], [CompressedMove(-1, 4, 0)], Rule.CJ)
+
+
+def _expand_by_sets(n, a, moves):
+    """Reference for expand_moves on path_graph(n), whose positions are
+    its vertex ids: the states by position sets, or the message of the
+    first bad move."""
+    current = set(a)
+    states = [tuple(sorted(current))]
+    for mv in moves:
+        if mv.src < 0 or mv.src + mv.size > n or mv.dst < 0 or mv.dst + mv.size > n:
+            return f"move {mv} leaves the path"
+        seg = set(range(mv.src, mv.src + mv.size))
+        if not seg <= current or (mv.src - 1) in current or (mv.src + mv.size) in current:
+            return f"move {mv} does not lift a whole component"
+        rest = current - seg
+        if rest & set(range(mv.dst, mv.dst + mv.size)):
+            return f"move {mv} lands on another component"
+        current = rest | set(range(mv.dst, mv.dst + mv.size))
+        states.append(tuple(sorted(current)))
+    return tuple(states)
+
+
+def test_expand_matches_position_sets():
+    """Moves of real components, of part of one, of nothing (size 0) and
+    off the path expand, or fail with the same message, as the set
+    replay does."""
+    rng = random.Random(20251019)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        a = sorted(rng.sample(range(n), rng.randint(0, n)))
+        moves, state = [], set(a)
+        for _ in range(rng.randint(1, 6)):
+            runs = _runs(sorted(state))
+            if runs and rng.random() < 0.8:
+                src, size = rng.choice(runs)
+            else:
+                src, size = rng.randint(-1, n), rng.randint(0, 3)
+            moves.append(CompressedMove(size, src, rng.randint(-1, n)))
+            want = _expand_by_sets(n, a, moves)
+            if isinstance(want, str):
+                break
+            state = set(want[-1])
+        try:
+            got = expand_moves(path_graph(n), a, moves, Rule.CJ).states
+        except InvalidInstanceError as exc:
+            got = str(exc)
+        assert got == want, (n, a, moves)
 
 
 def _solver_matches_oracle(n, rule):
