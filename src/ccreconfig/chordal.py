@@ -107,8 +107,7 @@ def _peel_order(cg: ConflictGraph) -> list[tuple[int, int]]:
     alive_b = [True] * nb
     ready = [bi for bi in range(nb) if deg[bi] <= 1]
     heapq.heapify(ready)
-    spare = list(range(na))
-    heapq.heapify(spare)
+    spare = 0  # no live a index lies below it: a entries only die
     order = []
     while len(order) < nb:
         while ready and not alive_b[ready[0]]:
@@ -119,9 +118,9 @@ def _peel_order(cg: ConflictGraph) -> list[tuple[int, int]]:
         if deg[bi] == 1:
             ai = next(x for x in b_nbrs[bi] if alive_a[x])
         else:
-            while not alive_a[spare[0]]:
-                heapq.heappop(spare)
-            ai = spare[0]
+            while not alive_a[spare]:
+                spare += 1
+            ai = spare
         alive_a[ai] = False
         alive_b[bi] = False
         order.append((ai, bi))

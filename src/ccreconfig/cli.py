@@ -22,9 +22,7 @@ from .chordal import solve_equal_size_cj
 from .cographs import is_cograph, solve_cograph_cs
 from .errors import (
     InvalidInstanceError,
-    NotACographError,
     StateSpaceTooLargeError,
-    UnequalSizesError,
     WrongGraphClassError,
 )
 from .generators import gen_chordal_instance, gen_cograph_instance, gen_path_instance
@@ -262,7 +260,7 @@ def _cmd_solve(args) -> int:
                     f"{' and '.join(r.value for r in rules)} only"
                 )
             res = run(g, a, b, rule, args, runs)
-        except (WrongGraphClassError, UnequalSizesError, InvalidInstanceError):
+        except (WrongGraphClassError, InvalidInstanceError):
             if args.fallback == "none" or algorithm == "oracle":
                 raise
             continue
@@ -433,8 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_TOO_LARGE, str(exc))
     except MemoryError:
         pass  # reported below, once leaving the handler has freed its frames
-    except (InvalidInstanceError, WrongGraphClassError, NotACographError,
-            UnequalSizesError) as exc:
+    except (InvalidInstanceError, WrongGraphClassError) as exc:
         return _fail(EXIT_INVALID, str(exc))
     finally:
         if collecting:

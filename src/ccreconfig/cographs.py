@@ -29,8 +29,8 @@ from .errors import (
 from .graph import (
     Graph,
     _clean_subset,
+    _touch,
     cc_multiset,
-    connected_components,
     is_connected_set,
 )
 from .rules import Result, Rule
@@ -247,7 +247,7 @@ def _one_component_states(
     if x == y:
         return [x]
     if variant is Rule.CS:
-        if is_connected_set(g, x | y):
+        if _touch(g, x, y):
             return [x, y]
         z = _outside_vertex(join, x | y)
         ball = _bfs_ball(g, frozenset(join.vertices), z, len(x))
@@ -255,7 +255,7 @@ def _one_component_states(
 
     states = [x]
     cur = x
-    if not is_connected_set(g, cur | y):
+    if not _touch(g, cur, y):
         z = _outside_vertex(join, cur | y)
         gone = min(cur - y)
         cur = (cur - {gone}) | {z}
@@ -264,10 +264,9 @@ def _one_component_states(
         nxt = None
         for out in sorted(cur - y):
             for came in sorted(y - cur):
+                # cand holds came, a vertex of y, so it touches y
                 cand = (cur - {out}) | {came}
-                if not is_connected_set(g, cand):
-                    continue
-                if cand == y or is_connected_set(g, cand | y):
+                if is_connected_set(g, cand):
                     nxt = cand
                     break
             if nxt is not None:
@@ -310,7 +309,8 @@ def solve_cograph_cs(
     while pending:
         node, xa, xb = pending.pop()
         while xa != xb:
-            if cc_multiset(g, xa) != cc_multiset(g, xb):
+            sizes = cc_multiset(g, xa)
+            if sizes != cc_multiset(g, xb):
                 return Result(variant, False, reason="multiset-mismatch")
             if node.kind == "union":
                 for child in reversed(node.children):
@@ -319,7 +319,7 @@ def solve_cograph_cs(
                 break
             # two distinct sets with one multiset do not fit in a leaf, so
             # this is a join node
-            if len(connected_components(g, xa)) == 1:
+            if len(sizes) == 1:
                 rest = states[-1] - xa
                 steps = _one_component_states(g, node, xa, xb, variant)
                 states.extend(rest | step for step in steps[1:])

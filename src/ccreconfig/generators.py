@@ -3,8 +3,9 @@
 Every generator takes a random.Random so runs are reproducible from a
 seed.  Path instances place the same component-size multiset twice.
 Cographs come from random decomposition trees.  Chordal graphs grow by
-attaching each new vertex to a clique of the graph built so far, which
-leaves a perfect elimination order by construction.
+attaching each new vertex to up to three vertices of a clique of the
+graph built so far, which leaves a perfect elimination order by
+construction.
 """
 
 from __future__ import annotations
@@ -100,12 +101,12 @@ def random_cotree_graph(rng: random.Random, n: int, *, connected: bool = True) -
 
 
 def _same_multiset_pair(
-    rng: random.Random, g: Graph, tries: int
+    rng: random.Random, g: Graph
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     size = rng.randint(1, max(1, g.n // 2))
     a = tuple(sorted(rng.sample(range(g.n), size)))
     target = cc_multiset(g, a)
-    for _ in range(tries):
+    for _ in range(300):
         b = tuple(sorted(rng.sample(range(g.n), size)))
         if cc_multiset(g, b) == target:
             return a, b
@@ -113,29 +114,27 @@ def _same_multiset_pair(
 
 
 def gen_cograph_instance(
-    rng: random.Random, n: int, *, connected: bool = True, tries: int = 300
+    rng: random.Random, n: int, *, connected: bool = True
 ) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
     """Cograph plus two subsets with the same component-size multiset.
-    Falls back to a trivial pair when sampling keeps missing."""
+    Falls back to a trivial pair when 300 samples all miss."""
     if n < 1:
         raise InvalidInstanceError("need at least one vertex")
     g = random_cotree_graph(rng, n, connected=connected)
-    a, b = _same_multiset_pair(rng, g, tries)
+    a, b = _same_multiset_pair(rng, g)
     return g, a, b
 
 
-def random_chordal_graph(
-    rng: random.Random, n: int, *, attach_max: int = 3
-) -> Graph:
-    """Connected chordal graph: each vertex joins a clique of the part
-    built before it."""
+def random_chordal_graph(rng: random.Random, n: int) -> Graph:
+    """Connected chordal graph: each vertex joins one to three vertices of
+    a clique of the part built before it."""
     if n < 1:
         raise InvalidInstanceError("need at least one vertex")
     edges = []
     cliques = [(0,)]
     for v in range(1, n):
         base = cliques[rng.randrange(len(cliques))]
-        take = rng.randint(1, min(len(base), attach_max))
+        take = rng.randint(1, min(len(base), 3))
         anchors = rng.sample(base, take)
         edges.extend((u, v) for u in anchors)
         cliques.append(tuple(sorted(anchors)) + (v,))
@@ -198,7 +197,6 @@ def gen_chordal_instance(
     *,
     size: int | None = None,
     count: int | None = None,
-    tries: int = 200,
 ) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
     """Chordal graph plus two configurations whose components all have
     one common size.  Shrinks the instance when placement keeps failing."""
@@ -207,8 +205,8 @@ def gen_chordal_instance(
     k = count if count is not None else rng.randint(1, 3)
     while True:
         try:
-            a = sample_spread_components(rng, g, s, k, tries=tries)
-            b = sample_spread_components(rng, g, s, k, tries=tries)
+            a = sample_spread_components(rng, g, s, k)
+            b = sample_spread_components(rng, g, s, k)
             return g, a, b
         except InvalidInstanceError:
             # shrink only dimensions the caller left open

@@ -35,7 +35,6 @@ __all__ = [
     "connected_components",
     "components_masks",
     "is_connected_set",
-    "is_connected_mask",
     "cc_multiset",
     "co_components",
     "is_chordal",
@@ -297,6 +296,13 @@ def is_connected_set(g: Graph, vertices: Iterable[int]) -> bool:
     return bool(vs) and len(_component(g, set(vs), vs[0], set())) == len(vs)
 
 
+def _touch(g: Graph, x: set[int] | frozenset[int], y: Iterable[int]) -> bool:
+    """Whether the vertices y share a vertex or an edge with the set x.
+    For two connected sets this is exactly "their union is connected"."""
+    adj = g.adj
+    return any(v in x or not adj[v].isdisjoint(x) for v in y)
+
+
 def _component_mask(g: Graph, mask: int, comp: int) -> int:
     """Grow the seed bits comp to their whole component inside mask."""
     adj = g.adj_masks
@@ -321,10 +327,6 @@ def components_masks(g: Graph, mask: int) -> list[int]:
         comps.append(comp)
         mask &= ~comp
     return comps
-
-
-def is_connected_mask(g: Graph, mask: int) -> bool:
-    return mask != 0 and _component_mask(g, mask, mask & -mask) == mask
 
 
 class SizeMultiset(tuple):

@@ -10,8 +10,8 @@ sorted, and shortest paths follow first-discovery parents.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import InternalContradictionError, StateSpaceTooLargeError
 from .graph import (
@@ -22,7 +22,6 @@ from .graph import (
     cc_multiset,
     components_masks,
     connected_k_subsets,
-    is_connected_mask,
     mask_of,
     vertices_of,
 )
@@ -52,17 +51,9 @@ class StateSpace:
     states: tuple[int, ...]
     index: dict[int, int]
     pools: dict[int, list[tuple[int, int]]]  # size -> [(comp mask, closed nbhd)]
-    _comps: list[frozenset[int] | None] = field(repr=False, default_factory=list)
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def components_of(self, i: int) -> frozenset[int]:
-        got = self._comps[i]
-        if got is None:
-            got = frozenset(components_masks(self.graph, self.states[i]))
-            self._comps[i] = got
-        return got
 
     def state_vertices(self, i: int) -> tuple[int, ...]:
         return vertices_of(self.states[i])
@@ -124,7 +115,6 @@ def enumerate_states(
         states=tuple(found),
         index=index,
         pools=pools,
-        _comps=[None] * len(found),
     )
 
 
@@ -145,15 +135,16 @@ def neighbors(space: StateSpace, i: int, rule: Rule) -> list[int]:
                 if j is not None:
                     out.add(j)
     else:
-        for c in space.components_of(i):
+        for c in components_masks(g, u):
             rest = u & ~c
             blocked = _closed_neighborhood(g, rest)
-            for cmask, _ in space.pools[c.bit_count()]:
+            for cmask, closed in space.pools[c.bit_count()]:
                 if cmask == c or cmask & blocked:
                     continue
                 if rule is Rule.CS1 and (c & ~cmask).bit_count() != 1:
                     continue
-                if rule is not Rule.CJ and not is_connected_mask(g, c | cmask):
+                # both are connected, so they join iff c meets N[cmask]
+                if rule is not Rule.CJ and not c & closed:
                     continue
                 j = index.get(rest | cmask)
                 if j is None:
@@ -162,6 +153,21 @@ def neighbors(space: StateSpace, i: int, rule: Rule) -> list[int]:
                     )
                 out.add(j)
     return sorted(out)
+
+
+def _search(space: StateSpace, src: int, rule: Rule) -> Iterator[tuple[int, int]]:
+    """Breadth-first search from state src: every other state it reaches,
+    with the state it was first reached from, in discovery order.  Moves
+    are reversible, so the states reached are src's whole class."""
+    seen = {src}
+    queue = deque((src,))
+    while queue:
+        cur = queue.popleft()
+        for j in neighbors(space, cur, rule):
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+                yield j, cur
 
 
 def oracle_solve(
@@ -187,16 +193,11 @@ def oracle_solve(
     except KeyError:
         raise InternalContradictionError("endpoint missing from its own state space")
     parent = {src: -1}
-    queue = deque((src,))
-    while queue:
-        cur = queue.popleft()
-        if cur == dst:
+    for j, p in _search(space, src, rule):
+        parent[j] = p
+        if j == dst:
             break
-        for j in neighbors(space, cur, rule):
-            if j not in parent:
-                parent[j] = cur
-                queue.append(j)
-    if dst not in parent:
+    else:
         return Result(rule, False, reason="search-exhausted", space_size=len(space))
     chain = [dst]
     while chain[-1] != src:
@@ -223,12 +224,10 @@ def build_reconfig_graph(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> ReconfigGraph:
     space = enumerate_states(g, multiset, state_cap=state_cap)
-    edges = []
-    for i in range(len(space)):
-        for j in neighbors(space, i, rule):
-            if j > i:
-                edges.append((i, j))
-    return ReconfigGraph(space, rule, tuple(edges))
+    edges = tuple(
+        (i, j) for i in range(len(space)) for j in neighbors(space, i, rule) if j > i
+    )
+    return ReconfigGraph(space, rule, edges)
 
 
 def export_dot(rg: ReconfigGraph) -> str:
@@ -251,16 +250,10 @@ def reachability_partition(space: StateSpace, rule: Rule) -> list[int]:
     labels are the smallest state index in each class."""
     labels = [-1] * len(space)
     for start in range(len(space)):
-        if labels[start] != -1:
-            continue
-        labels[start] = start
-        queue = deque((start,))
-        while queue:
-            cur = queue.popleft()
-            for j in neighbors(space, cur, rule):
-                if labels[j] == -1:
-                    labels[j] = start
-                    queue.append(j)
+        if labels[start] == -1:
+            labels[start] = start
+            for j, _ in _search(space, start, rule):
+                labels[j] = start
     return labels
 
 
@@ -268,11 +261,6 @@ def bfs_distances(space: StateSpace, src: int, rule: Rule) -> list[int | None]:
     """Move counts from one state to every state, None when unreachable."""
     dist: list[int | None] = [None] * len(space)
     dist[src] = 0
-    queue = deque((src,))
-    while queue:
-        cur = queue.popleft()
-        for j in neighbors(space, cur, rule):
-            if dist[j] is None:
-                dist[j] = dist[cur] + 1
-                queue.append(j)
+    for j, p in _search(space, src, rule):
+        dist[j] = dist[p] + 1
     return dist

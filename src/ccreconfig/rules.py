@@ -25,8 +25,8 @@ from .graph import (
     SizeMultiset,
     _clean_subset,
     _component,
+    _touch,
     cc_multiset,
-    is_connected_set,
 )
 
 if TYPE_CHECKING:
@@ -64,8 +64,9 @@ def _one_move(g: Graph, u: set[int], w: set[int], rule: Rule) -> bool:
     """Whether w is one move from u under the rule; both hold valid
     vertices.  A component move swaps the component c of u that loses a
     vertex for the component c2 of w that gains one, and leaves the rest
-    as it is: u - c == w - c2.  Costs two set differences plus a search
-    over c and c2 only."""
+    as it is: u - c == w - c2.  Costs two set differences, a search over
+    c and c2 only, and one pass over c2's neighbourhoods for a slide:
+    c and c2 are connected, so they join iff they touch."""
     gone, new = u - w, w - u
     if rule is Rule.TJ or rule is Rule.TS:
         if len(gone) != 1 or len(new) != 1:
@@ -79,7 +80,7 @@ def _one_move(g: Graph, u: set[int], w: set[int], rule: Rule) -> bool:
         return False
     if rule is Rule.CS1 and len(gone) != 1:
         return False
-    return rule is Rule.CJ or is_connected_set(g, c | c2)
+    return rule is Rule.CJ or _touch(g, c, c2)
 
 
 def adjacent(g: Graph, u: Iterable[int], w: Iterable[int], rule: Rule) -> bool:

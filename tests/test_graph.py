@@ -12,6 +12,7 @@ from ccreconfig.graph import (
     SizeMultiset,
     _clean_subset,
     _replay_jumps,
+    _touch,
     cc_multiset,
     co_components,
     complete_graph,
@@ -188,6 +189,25 @@ def test_components_partition_subset():
         assert mins == sorted(mins)
         for b in blocks:
             assert is_connected_set(g, b)
+
+
+def test_touch_is_union_connectivity_for_connected_sets():
+    """Two connected sets join iff they share a vertex or an edge: every
+    pair of non-empty connected subsets of every graph with n <= 5, then
+    seeded pairs at n = 6-7."""
+    for n in range(1, 6):
+        for g in helpers.all_graphs(n):
+            connected = {m for m in range(1, 1 << n) if is_connected_set(g, vertices_of(m))}
+            sets = [(m, set(vertices_of(m))) for m in connected]
+            for mx, x in sets:
+                for my, y in sets:
+                    assert _touch(g, x, y) == (mx | my in connected), (g.edges, x, y)
+    rng = random.Random(29)
+    for _ in range(500):
+        g = helpers.random_graph(rng, rng.randint(6, 7), rng.choice([0.2, 0.4]))
+        pool = [m for k in (1, 2, 3) for m in connected_k_subsets(g, k)]
+        x, y = (set(vertices_of(rng.choice(pool))) for _ in range(2))
+        assert _touch(g, x, y) == is_connected_set(g, x | y), (g.edges, x, y)
 
 
 def test_co_components_examples():

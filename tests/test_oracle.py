@@ -182,3 +182,36 @@ def test_partition_and_distances_agree_with_solve():
                 )
                 assert res.reachable == (labels[j] == labels[0])
                 assert res.distance == dist0[j]
+
+
+def test_distances_and_classes_match_plain_bfs():
+    """The oracle's one search against a BFS over adjacent_bf, from every
+    state, under all five rules."""
+    rng = random.Random(71)
+    checked = 0
+    for _ in range(200):
+        g = helpers.random_graph(rng, rng.randint(2, 6))
+        probe = [v for v in range(g.n) if rng.random() < 0.5]
+        space = enumerate_states(g, cc_multiset(g, probe))
+        k = len(space)
+        if not (1 < k <= 30):
+            continue
+        checked += 1
+        verts = [space.state_vertices(i) for i in range(k)]
+        for rule in ALL_RULES:
+            near = [
+                [j for j in range(k) if j != i and helpers.adjacent_bf(g, verts[i], verts[j], rule)]
+                for i in range(k)
+            ]
+            labels = reachability_partition(space, rule)
+            for src in range(k):
+                dist = {src: 0}
+                queue = [src]
+                for i in queue:
+                    for j in near[i]:
+                        if j not in dist:
+                            dist[j] = dist[i] + 1
+                            queue.append(j)
+                assert bfs_distances(space, src, rule) == [dist.get(j) for j in range(k)]
+                assert labels[src] == min(dist), (g.edges, space.multiset, rule)
+    assert checked >= 100
