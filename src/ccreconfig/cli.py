@@ -19,7 +19,7 @@ import time
 from typing import Any
 
 from .chordal import solve_equal_size_cj
-from .cographs import is_cograph, solve_cograph_cs
+from .cographs import solve_cograph_cs
 from .errors import (
     InvalidInstanceError,
     StateSpaceTooLargeError,
@@ -194,35 +194,31 @@ def _run_path(g, a, b, rule, args, runs):
     return res
 
 
-# algorithm -> (rules it decides, class test on (graph, multiset), runner
-# returning the solver's Result).  A runner's last argument is the pair
-# of position runs _load_instance took on a path host for a rule the
-# path solver decides, else None.  `auto` tries the entries in order,
-# each whose rules hold the rule and whose class test passes, until one
-# decides; a class test runs only when its entry is reached.  Class
-# tests and runners look the solvers up by module name when they run,
-# so a rebound module attribute (a timing wrapper) is what they call.
-# The chordal solver is sound on any host: a yes comes with its
-# schedule, and a cyclic conflict graph (impossible on a chordal host)
-# stays undecided instead of guessing, so its class test asks only for
+# algorithm -> (rules it decides, runner returning the solver's Result).
+# A runner's last argument is the pair of position runs _load_instance
+# took on a path host for a rule the path solver decides, else None.
+# Each solver raises WrongGraphClassError or InvalidInstanceError outside
+# its class, so `auto` tries the entries whose rules hold the rule, in
+# order, until one decides.  Runners look the solvers up by module name
+# when they run, so a rebound module attribute (a timing wrapper) is
+# what they call.  The chordal solver is sound on any host: a yes comes
+# with its schedule, and a cyclic conflict graph (impossible on a
+# chordal host) stays undecided instead of guessing, so it asks only for
 # one component size and the oracle takes what it leaves undecided.
 SOLVERS = {
-    "path": ((Rule.CS, Rule.CJ), lambda g, ms: is_path_graph(g), _run_path),
+    "path": ((Rule.CS, Rule.CJ), _run_path),
     "cograph": (
         (Rule.CS, Rule.CS1),
-        lambda g, ms: is_cograph(g),
         lambda g, a, b, rule, args, runs: solve_cograph_cs(g, a, b, variant=rule),
     ),
     "chordal": (
         (Rule.CJ,),
-        lambda g, ms: len(set(ms)) <= 1,
         lambda g, a, b, rule, args, runs: solve_equal_size_cj(
             g, a, b, want_states=not args.compressed
         ),
     ),
     "oracle": (
         tuple(Rule),
-        lambda g, ms: True,
         lambda g, a, b, rule, args, runs: oracle_solve(
             g, a, b, rule=rule, state_cap=args.state_cap
         ),
@@ -244,15 +240,14 @@ def _cmd_solve(args) -> int:
         )
         return EXIT_NO
     if args.algorithm == "auto":
-        plan = (name for name, (rules, fits, _) in SOLVERS.items()
-                if rule in rules and fits(g, ma))
+        plan = [name for name, (rules, _) in SOLVERS.items() if rule in rules]
     elif args.fallback == "none" or args.algorithm == "oracle":
         plan = [args.algorithm]
     else:
         plan = [args.algorithm, "oracle"]
     start = time.perf_counter()
     for algorithm in plan:
-        rules, _, run = SOLVERS[algorithm]
+        rules, run = SOLVERS[algorithm]
         try:
             if rule not in rules:
                 raise InvalidInstanceError(
@@ -261,7 +256,7 @@ def _cmd_solve(args) -> int:
                 )
             res = run(g, a, b, rule, args, runs)
         except (WrongGraphClassError, InvalidInstanceError):
-            if args.fallback == "none" or algorithm == "oracle":
+            if algorithm == plan[-1]:
                 raise
             continue
         if res.reachable is not None:

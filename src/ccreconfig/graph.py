@@ -1,11 +1,9 @@
 """Graph core: simple undirected graphs with dense 0-based vertex ids.
 
 Everything downstream (rules, solvers, the brute-force oracle) works on
-plain vertex subsets of these graphs.  Two subset representations are
-used: sorted tuples of ints for public results and the verifier, and
-int bitmasks for the oracle's small-n state search.  Bitmask adjacency
-is built lazily so that large sparse graphs (the path and chordal
-solvers run at n = 10^5 and up) never pay for it.
+plain vertex subsets of these graphs, kept as sorted tuples of ints (and
+as sets inside a computation).  The oracle's bitmask states live in
+oracle.py, which builds its own neighbour masks for each small search.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvalidInstanceError, WrongGraphClassError
 
@@ -29,16 +27,11 @@ __all__ = [
     "complete_graph",
     "empty_graph",
     "parse_graph",
-    "mask_of",
-    "bits_of",
-    "vertices_of",
     "connected_components",
-    "components_masks",
     "is_connected_set",
     "cc_multiset",
     "co_components",
     "is_chordal",
-    "connected_k_subsets",
 ]
 
 
@@ -102,15 +95,6 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise InvalidInstanceError(f"vertex {v} out of range for n={self.n}")
-
-    @cached_property
-    def adj_masks(self) -> tuple[int, ...]:
-        """Neighbor bitmask per vertex.  Only touch this at small n."""
-        return tuple(mask_of(s) for s in self.adj)
-
-    @cached_property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     # The two builders live with their solvers, which import this module.
 
@@ -206,26 +190,7 @@ def parse_graph(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# subsets: masks and vertex tuples
-
-def mask_of(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
-def bits_of(mask: int) -> Iterator[int]:
-    """Yield set bit positions in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def vertices_of(mask: int) -> tuple[int, ...]:
-    return tuple(bits_of(mask))
-
+# subsets
 
 def _clean_subset(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
     vs = sorted(vertices)
@@ -301,32 +266,6 @@ def _touch(g: Graph, x: set[int] | frozenset[int], y: Iterable[int]) -> bool:
     For two connected sets this is exactly "their union is connected"."""
     adj = g.adj
     return any(v in x or not adj[v].isdisjoint(x) for v in y)
-
-
-def _component_mask(g: Graph, mask: int, comp: int) -> int:
-    """Grow the seed bits comp to their whole component inside mask."""
-    adj = g.adj_masks
-    frontier = comp
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            f ^= low
-            nxt |= adj[low.bit_length() - 1]
-        frontier = nxt & mask & ~comp
-        comp |= frontier
-    return comp
-
-
-def components_masks(g: Graph, mask: int) -> list[int]:
-    """Bitmask variant of connected_components, ordered by lowest bit."""
-    comps = []
-    while mask:
-        comp = _component_mask(g, mask, mask & -mask)
-        comps.append(comp)
-        mask &= ~comp
-    return comps
 
 
 class SizeMultiset(tuple):
@@ -425,37 +364,3 @@ def is_chordal(g: Graph) -> bool:
                 return False
     return True
 
-
-def connected_k_subsets(g: Graph, k: int) -> list[int]:
-    """All connected k-vertex subsets of G, as bitmasks in canonical
-    subset order.
-
-    Uses the rooted extension scheme that emits every subset exactly
-    once: grow only with vertices above the root, and never re-offer a
-    candidate that an earlier branch already consumed.
-    """
-    if k < 1 or k > g.n:
-        return []
-    adj = g.adj_masks
-    out: list[int] = []
-
-    def extend(sub: int, ext: int, closed: int, need: int, above: int) -> None:
-        if need == 0:
-            out.append(sub)
-            return
-        while ext:
-            wbit = ext & -ext
-            ext ^= wbit
-            w = wbit.bit_length() - 1
-            grown = adj[w] & above & ~closed
-            extend(sub | wbit, ext | grown, closed | wbit | adj[w], need - 1, above)
-
-    for root in range(g.n):
-        rbit = 1 << root
-        above = g.full_mask & ~((rbit << 1) - 1)
-        if k == 1:
-            out.append(rbit)
-            continue
-        extend(rbit, adj[root] & above, rbit | adj[root], k - 1, above)
-    out.sort(key=vertices_of)
-    return out

@@ -2,9 +2,12 @@
 
 Enumerates every subset whose component-size multiset equals the target
 (placing components largest-first behind a no-touch frontier), then runs
-plain breadth-first search over single moves.  Everything is
-deterministic: states live in canonical subset order, neighbor lists are
-sorted, and shortest paths follow first-discovery parents.
+plain breadth-first search over single moves.  The search works on int
+bitmasks (bit v for vertex v), with the neighbour masks of each vertex
+built per state space; the rest of the package uses sorted tuples.
+Everything is deterministic: states live in canonical subset order,
+neighbor lists are sorted, and shortest paths follow first-discovery
+parents.
 """
 
 from __future__ import annotations
@@ -14,17 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import InternalContradictionError, StateSpaceTooLargeError
-from .graph import (
-    Graph,
-    SizeMultiset,
-    _clean_subset,
-    bits_of,
-    cc_multiset,
-    components_masks,
-    connected_k_subsets,
-    mask_of,
-    vertices_of,
-)
+from .graph import Graph, SizeMultiset, _clean_subset, cc_multiset
 from .rules import Result, Rule
 
 __all__ = [
@@ -42,6 +35,84 @@ __all__ = [
 DEFAULT_STATE_CAP = 2_000_000
 
 
+def mask_of(vertices: Iterable[int]) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def bits_of(mask: int) -> Iterator[int]:
+    """Yield set bit positions in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def vertices_of(mask: int) -> tuple[int, ...]:
+    return tuple(bits_of(mask))
+
+
+def _closed_neighborhood(adj: tuple[int, ...], mask: int) -> int:
+    out = mask
+    for v in bits_of(mask):
+        out |= adj[v]
+    return out
+
+
+def components_masks(adj: tuple[int, ...], mask: int) -> list[int]:
+    """Components of the subset mask, as masks ordered by lowest bit;
+    adj holds each vertex's neighbour mask."""
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                nxt |= adj[low.bit_length() - 1]
+            frontier = nxt & mask & ~comp
+            comp |= frontier
+        comps.append(comp)
+        mask &= ~comp
+    return comps
+
+
+def connected_k_subsets(g: Graph, k: int) -> list[int]:
+    """All connected k-vertex subsets of G, as bitmasks in canonical
+    subset order.
+
+    Uses the rooted extension scheme that emits every subset exactly
+    once: grow only with vertices above the root, and never re-offer a
+    candidate that an earlier branch already consumed.
+    """
+    if k < 1 or k > g.n:
+        return []
+    adj = tuple(map(mask_of, g.adj))
+    full = (1 << g.n) - 1
+    out: list[int] = []
+    for root in range(g.n):
+        rbit = 1 << root
+        above = full & ~((rbit << 1) - 1)
+        # (subset, offered candidates, subset and its neighbours, vertices to add)
+        stack = [(rbit, adj[root] & above, rbit | adj[root], k - 1)]
+        while stack:
+            sub, ext, closed, need = stack.pop()
+            if need == 0:
+                out.append(sub)
+                continue
+            while ext:
+                wbit = ext & -ext
+                ext ^= wbit
+                nbrs = adj[wbit.bit_length() - 1]
+                grown = ext | nbrs & above & ~closed
+                stack.append((sub | wbit, grown, closed | wbit | nbrs, need - 1))
+    out.sort(key=vertices_of)
+    return out
+
+
 @dataclass
 class StateSpace:
     """All valid states for one (graph, multiset) pair."""
@@ -51,20 +122,13 @@ class StateSpace:
     states: tuple[int, ...]
     index: dict[int, int]
     pools: dict[int, list[tuple[int, int]]]  # size -> [(comp mask, closed nbhd)]
+    adj: tuple[int, ...]  # neighbour mask per vertex
 
     def __len__(self) -> int:
         return len(self.states)
 
     def state_vertices(self, i: int) -> tuple[int, ...]:
         return vertices_of(self.states[i])
-
-
-def _closed_neighborhood(g: Graph, mask: int) -> int:
-    out = mask
-    adj = g.adj_masks
-    for v in bits_of(mask):
-        out |= adj[v]
-    return out
 
 
 def enumerate_states(
@@ -79,34 +143,39 @@ def enumerate_states(
     order: list[int] = []
     for size, count in sizes_desc:
         order.extend([size] * count)
+    adj = tuple(map(mask_of, g.adj))
     pools = {
-        size: [
-            (cmask, _closed_neighborhood(g, cmask))
-            for cmask in connected_k_subsets(g, size)
-        ]
+        size: [(cmask, _closed_neighborhood(adj, cmask)) for cmask in connected_k_subsets(g, size)]
         for size, _ in sizes_desc
     }
-    found: list[int] = []
-
-    def place(oi: int, min_idx: int, forbidden: int, acc: int) -> None:
+    level = [pools[size] for size in order]
+    found = [] if order else [0]
+    # Depth first, one frame per placed component: the pool indices not yet
+    # tried for it, its pool, and the closed neighbourhoods and state of the
+    # components placed before it.
+    frames = []
+    if order and target.total <= g.n:
+        frames.append((iter(range(len(level[0]))), level[0], 0, 0))
+    while frames:
+        untried, pool, forbidden, acc = frames[-1]
+        for idx in untried:
+            cmask, closed = pool[idx]
+            if not cmask & forbidden:
+                break
+        else:
+            frames.pop()
+            continue
+        oi = len(frames)
         if oi == len(order):
-            found.append(acc)
+            found.append(acc | cmask)
             if len(found) > state_cap:
                 raise StateSpaceTooLargeError(state_cap)
-            return
-        size = order[oi]
-        pool = pools[size]
+            continue
         # equal-size components are placed with increasing pool index so
         # each state is produced exactly once
-        start = min_idx if oi > 0 and order[oi - 1] == size else 0
-        for idx in range(start, len(pool)):
-            cmask, closed = pool[idx]
-            if cmask & forbidden:
-                continue
-            place(oi + 1, idx + 1, forbidden | closed, acc | cmask)
-
-    if target.total <= g.n:
-        place(0, 0, 0, 0)
+        start = idx + 1 if order[oi] == order[oi - 1] else 0
+        pool = level[oi]
+        frames.append((iter(range(start, len(pool))), pool, forbidden | closed, acc | cmask))
     found.sort(key=vertices_of)
     index = {mask: i for i, mask in enumerate(found)}
     return StateSpace(
@@ -115,18 +184,18 @@ def enumerate_states(
         states=tuple(found),
         index=index,
         pools=pools,
+        adj=adj,
     )
 
 
 def neighbors(space: StateSpace, i: int, rule: Rule) -> list[int]:
     """Indices of states one move away from state i, ascending."""
-    g = space.graph
     u = space.states[i]
+    adj = space.adj
     index = space.index
     out: set[int] = set()
     if rule is Rule.TJ or rule is Rule.TS:
-        adj = g.adj_masks
-        free = g.full_mask & ~u
+        free = ((1 << len(adj)) - 1) & ~u
         for a in bits_of(u):
             targets = (adj[a] & free) if rule is Rule.TS else free
             stripped = u ^ (1 << a)
@@ -135,9 +204,9 @@ def neighbors(space: StateSpace, i: int, rule: Rule) -> list[int]:
                 if j is not None:
                     out.add(j)
     else:
-        for c in components_masks(g, u):
+        for c in components_masks(adj, u):
             rest = u & ~c
-            blocked = _closed_neighborhood(g, rest)
+            blocked = _closed_neighborhood(adj, rest)
             for cmask, closed in space.pools[c.bit_count()]:
                 if cmask == c or cmask & blocked:
                     continue

@@ -25,14 +25,13 @@ from ccreconfig import (
     solve_path_cs,
     verify_sequence,
 )
-from ccreconfig.graph import connected_k_subsets, vertices_of
 from ccreconfig.generators import (
     gen_cograph_instance,
     gen_path_instance,
     random_chordal_graph,
     sample_spread_components,
 )
-from ccreconfig.oracle import enumerate_states, neighbors
+from ccreconfig.oracle import connected_k_subsets, enumerate_states, neighbors, vertices_of
 
 from helpers import all_graphs, random_connected_graph
 

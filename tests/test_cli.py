@@ -316,6 +316,29 @@ def test_export_over_the_cap_still_prints_the_answer(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "cap" in json.loads(err)["error"]
 
 
+def test_oracle_grows_a_component_longer_than_the_recursion_limit(tmp_path, capsys):
+    # one 1 100-vertex component, grown a vertex at a time
+    n = 1200
+    inst = write(tmp_path, "i.json", {
+        "graph": {"n": n, "edges": [[i, i + 1] for i in range(n - 1)]},
+        "A": list(range(1100)), "B": list(range(1, 1101)), "rule": "CS"})
+    code, report, err = run(capsys, ["solve", inst, "--algorithm", "oracle", "--compressed"])
+    assert code == 0 and err == ""
+    assert report["answer"] == "yes" and report["algorithm"] == "oracle"
+    assert report["stats"]["space"] == 101 and report["stats"]["distance"] == 1
+
+
+def test_oracle_places_more_components_than_the_recursion_limit(tmp_path, capsys):
+    # 1 100 singletons, one on each edge of a perfect matching
+    n = 2200
+    inst = write(tmp_path, "i.json", {
+        "graph": {"n": n, "edges": [[i, i + 1] for i in range(0, n, 2)]},
+        "A": list(range(0, n, 2)), "B": list(range(1, n, 2)), "rule": "TJ"})
+    code, report, err = run(capsys, ["solve", inst, "--state-cap", "1000"])
+    assert code == 4 and report is None
+    assert len(err.splitlines()) == 1 and "cap" in json.loads(err)["error"]
+
+
 def test_gen_kinds(tmp_path, capsys):
     for kind, default_rule in [("path", "CS"), ("cograph", "CS"), ("chordal", "CJ")]:
         code, inst, _ = run(

@@ -17,16 +17,14 @@ from ccreconfig.graph import (
     co_components,
     complete_graph,
     connected_components,
-    connected_k_subsets,
     cycle_graph,
     empty_graph,
     is_chordal,
     is_connected_set,
-    mask_of,
     parse_graph,
     path_graph,
-    vertices_of,
 )
+from ccreconfig.oracle import connected_k_subsets, mask_of, vertices_of
 
 
 def test_graph_basics():
@@ -265,21 +263,3 @@ def test_is_chordal_matches_hole_search():
             g = helpers.random_graph(rng, n, rng.uniform(0.2, 0.8))
             assert is_chordal(g) == (not helpers.has_induced_long_cycle(g))
 
-
-def test_connected_k_subsets_match_filtered_combinations():
-    rng = random.Random(29)
-    for _ in range(120):
-        g = helpers.random_graph(rng, rng.randint(1, 8))
-        for k in range(1, g.n + 1):
-            got = connected_k_subsets(g, k)
-            assert len(got) == len(set(got))
-            as_sets = {frozenset(vertices_of(m)) for m in got}
-            assert as_sets == helpers.connected_k_subsets_bf(g, k)
-            keys = [vertices_of(m) for m in got]
-            assert keys == sorted(keys)
-
-
-def test_connected_k_subsets_within_mask():
-    g = path_graph(6)
-    assert connected_k_subsets(g, 0) == []
-    assert connected_k_subsets(g, 7) == []

@@ -12,23 +12,42 @@ from ccreconfig.graph import (
     cc_multiset,
     complete_graph,
     empty_graph,
-    mask_of,
     path_graph,
-    vertices_of,
 )
 from ccreconfig.oracle import (
     ReconfigGraph,
     bfs_distances,
     build_reconfig_graph,
+    connected_k_subsets,
     enumerate_states,
     export_dot,
     neighbors,
     oracle_solve,
     reachability_partition,
+    vertices_of,
 )
 from ccreconfig.rules import Rule, adjacent, verify_sequence
 
 ALL_RULES = list(Rule)
+
+
+def test_connected_k_subsets_match_filtered_combinations():
+    rng = random.Random(29)
+    for _ in range(120):
+        g = helpers.random_graph(rng, rng.randint(1, 8))
+        for k in range(1, g.n + 1):
+            got = connected_k_subsets(g, k)
+            assert len(got) == len(set(got))
+            as_sets = {frozenset(vertices_of(m)) for m in got}
+            assert as_sets == helpers.connected_k_subsets_bf(g, k)
+            keys = [vertices_of(m) for m in got]
+            assert keys == sorted(keys)
+
+
+def test_connected_k_subsets_within_mask():
+    g = path_graph(6)
+    assert connected_k_subsets(g, 0) == []
+    assert connected_k_subsets(g, 7) == []
 
 
 def test_enumerate_states_small_examples():

@@ -18,7 +18,6 @@ from ccreconfig import (
 from ccreconfig.errors import InvalidInstanceError
 from ccreconfig.graph import (
     cc_multiset,
-    mask_of,
     path_graph,
 )
 from ccreconfig.rules import (
