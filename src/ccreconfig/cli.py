@@ -38,10 +38,9 @@ from .graph import (
 from .oracle import DEFAULT_STATE_CAP, build_reconfig_graph, export_dot, oracle_solve
 from .paths import (
     CompressedMove,
-    _runs,
+    _path_runs,
     _solve_cj,
     _solve_cs,
-    _sorted_positions,
     expand_moves,
     is_path_graph,
     path_order,
@@ -116,7 +115,7 @@ def _load_instance(path: str, rule_flag: str | None):
     if rule in SOLVERS["path"][0] and is_path_graph(g):
         # on a path the runs of positions are the components; the path
         # solver decides from the same runs
-        runs = _runs(_sorted_positions(g, a)), _runs(_sorted_positions(g, b))
+        runs = _path_runs(g, a), _path_runs(g, b)
         ma, mb = (SizeMultiset(size for _, size in r) for r in runs)
     else:
         ma, mb = cc_multiset(g, a), cc_multiset(g, b)

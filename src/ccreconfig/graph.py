@@ -99,9 +99,8 @@ class Graph:
     # The two builders live with their solvers, which import this module.
 
     @cached_property
-    def path_layout(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """Vertices in path order and the position of each vertex along
-        it, or None when the graph is not a path."""
+    def path_layout(self) -> tuple[int, ...] | None:
+        """Vertices in path order, or None when the graph is not a path."""
         from .paths import _walk_path
 
         try:

@@ -15,7 +15,9 @@ after).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import InvalidInstanceError, WrongGraphClassError
@@ -32,12 +34,12 @@ __all__ = [
 ]
 
 
-def _walk_path(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Path order from the endpoint with the smaller id, and the position
-    of each vertex in it.  Raises if the graph is not a path."""
+def _walk_path(g: Graph) -> tuple[int, ...]:
+    """Path order from the endpoint with the smaller id.  Raises if the
+    graph is not a path."""
     n, adj = g.n, g.adj
     if n <= 1:
-        return tuple(range(n)), tuple(range(n))
+        return tuple(range(n))
     if g.m != n - 1:
         raise WrongGraphClassError(f"not a path: {g.m} edges for {n} vertices")
     degs = list(map(len, adj))
@@ -57,10 +59,7 @@ def _walk_path(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     order.append(end)
     if len(order) != n:
         raise WrongGraphClassError("not a path: walk ended early")
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    return tuple(order), tuple(pos)
+    return tuple(order)
 
 
 def path_order(g: Graph) -> tuple[int, ...]:
@@ -68,38 +67,25 @@ def path_order(g: Graph) -> tuple[int, ...]:
     the smaller id.  Raises if the graph is not a path."""
     if g.path_layout is None:
         _walk_path(g)  # raises with the reason the graph is not a path
-    return g.path_layout[0]
+    return g.path_layout
 
 
 def is_path_graph(g: Graph) -> bool:
     return g.path_layout is not None
 
 
-def _positions(g: Graph, subset: Iterable[int]) -> list[int]:
-    path_order(g)  # raises if g is not a path
-    return _sorted_positions(g, _clean_subset(g, subset))
-
-
-def _sorted_positions(g: Graph, vertices: Iterable[int]) -> list[int]:
-    """Path positions of already cleaned vertices, ascending; g must be
-    a path."""
-    return sorted(map(g.path_layout[1].__getitem__, vertices))
-
-
-def _runs(positions: Iterable[int]) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive ascending positions as (start, size):
-    on a path these are the components of the subset."""
-    runs = []
-    start = prev = None
-    for p in positions:
-        if p - 1 != prev:
-            if start is not None:
-                runs.append((start, prev - start + 1))
-            start = p
-        prev = p
-    if start is not None:
-        runs.append((start, prev - start + 1))
-    return runs
+def _path_runs(g: Graph, vertices: Iterable[int]) -> list[tuple[int, int]]:
+    """Components of cleaned vertices on the path g, left to right, as
+    (leftmost position, size): the runs of a membership array read in
+    path order.  O(n), no sort and no lookup of a vertex's position."""
+    n = g.n
+    inside = bytearray(n + 2)
+    for v in vertices:
+        inside[v] = 1
+    # keys n and n + 1 are never inside; they keep itemgetter's result
+    # a tuple when n < 2
+    along = bytes(itemgetter(*g.path_layout, n, n + 1)(inside))
+    return [(m.start(), m.end() - m.start()) for m in re.finditer(rb"\x01+", along)]
 
 
 def _tagged(profile: Iterable[int]) -> list[tuple[int, int]]:
@@ -153,7 +139,9 @@ def solve_path_cs(
 ) -> Result:
     """Component slides on a path: feasible iff the two profiles are
     literally equal; the witness is a shortest one."""
-    return _solve_cs(_runs(_positions(g, a)), _runs(_positions(g, b)), want_moves)
+    path_order(g)  # raises if g is not a path
+    return _solve_cs(_path_runs(g, _clean_subset(g, a)), _path_runs(g, _clean_subset(g, b)),
+                     want_moves)
 
 
 def _solve_cs(
@@ -195,7 +183,9 @@ def solve_path_cj(
 ) -> Result:
     """Component jumps on a path: sort the profile by bubble sort, three
     jumps per swapped pair, using the right buffer as parking space."""
-    return _solve_cj(g.n, _runs(_positions(g, a)), _runs(_positions(g, b)), want_moves)
+    path_order(g)  # raises if g is not a path
+    return _solve_cj(g.n, _path_runs(g, _clean_subset(g, a)), _path_runs(g, _clean_subset(g, b)),
+                     want_moves)
 
 
 def _solve_cj(
@@ -221,15 +211,18 @@ def _solve_cj(
         return Result(Rule.CJ, True, moves=())
     moves = _pack_left_jumps(runs_a)
     tail = occupied + k  # one past the gap after the packed block
-    cur = _tagged(profile_a)
+    # each component as its rank in B, so the order is sorted when the
+    # ranks ascend; a pass ends at the last swap of the one before, as
+    # everything past it is in place
     want_rank = {e: i for i, e in enumerate(_tagged(profile_b))}
-    swapped = True
-    while swapped:
-        swapped = False
-        la = 0  # leftmost position of cur[j] in the packed block
-        for j in range(len(cur) - 1):
-            if want_rank[cur[j]] > want_rank[cur[j + 1]]:
-                sl, sr = cur[j][0], cur[j + 1][0]
+    cur = [want_rank[e] for e in _tagged(profile_a)]
+    end = len(cur) - 1
+    while end > 0:
+        la = last = 0  # la: leftmost position of cur[j] in the packed block
+        for j in range(end):
+            x, y = cur[j], cur[j + 1]
+            if x > y:
+                sl, sr = profile_b[x], profile_b[y]
                 if sl < sr:
                     small_size, small_from, small_to = sl, la, la + sr + 1
                     big_size, big_from, big_to = sr, la + sl + 1, la
@@ -239,9 +232,10 @@ def _solve_cj(
                 moves.append(CompressedMove(small_size, small_from, tail))
                 moves.append(CompressedMove(big_size, big_from, big_to))
                 moves.append(CompressedMove(small_size, tail, small_to))
-                cur[j], cur[j + 1] = cur[j + 1], cur[j]
-                swapped = True
-            la += cur[j][0] + 1
+                cur[j], cur[j + 1] = y, x
+                last = j
+            la += profile_b[cur[j]] + 1
+        end = last
     moves.extend(mv.inverse() for mv in reversed(_pack_left_jumps(runs_b)))
     return Result(Rule.CJ, True, moves=tuple(moves))
 
@@ -257,8 +251,8 @@ def expand_moves(
     va = _clean_subset(g, a)
     n = len(order)
     occ = bytearray(n + 2)  # occ[p + 1] is 1 if position p is taken
-    for p in _sorted_positions(g, va):
-        occ[p + 1] = 1
+    for p, size in _path_runs(g, va):
+        occ[p + 1:p + size + 1] = b"\1" * size
     jumps = []
     for mv in moves:
         size, src, dst = mv.size, mv.src, mv.dst

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -23,10 +24,11 @@ from ccreconfig import (
     solve_path_cs,
     verify_sequence,
 )
+from ccreconfig.cli import main
 from ccreconfig.graph import connected_components
 from ccreconfig.oracle import enumerate_states
-from ccreconfig.paths import _runs, _sorted_positions
-from ccreconfig.rules import adjacent
+from ccreconfig.paths import _pack_left_jumps, _path_runs, _solve_cj, _tagged
+from ccreconfig.rules import Result, adjacent
 
 
 def test_path_order_canonical():
@@ -244,7 +246,7 @@ def test_expand_matches_position_sets():
         a = sorted(rng.sample(range(n), rng.randint(0, n)))
         moves, state = [], set(a)
         for _ in range(rng.randint(1, 6)):
-            runs = _runs(sorted(state))
+            runs = _path_runs(path_graph(n), sorted(state))
             if runs and rng.random() < 0.8:
                 src, size = rng.choice(runs)
             else:
@@ -346,15 +348,145 @@ def test_solvers_reject_non_path():
 
 
 def test_position_runs_are_the_components():
+    """On shuffled paths the runs are the components, left to right with
+    a gap after each: 300 random subsets, then every n from 0 to 40 with
+    the empty, the full and one random subset."""
     rng = random.Random(12)
+    cases = []
     for _ in range(300):
         n = rng.randint(1, 40)
         order = list(range(n))
         rng.shuffle(order)
         g = Graph(n, list(zip(order, order[1:])))
-        sub = sorted(rng.sample(range(n), rng.randint(0, n)))
-        runs = _runs(_sorted_positions(g, sub))
+        cases.append((g, sorted(rng.sample(range(n), rng.randint(0, n)))))
+    for n in range(41):
+        order = list(range(n))
+        rng.shuffle(order)
+        g = Graph(n, list(zip(order, order[1:])))
+        cases += [(g, []), (g, list(range(n))), (g, sorted(rng.sample(range(n), rng.randint(0, n))))]
+    for g, sub in cases:
+        runs = _path_runs(g, sub)
         assert SizeMultiset(size for _, size in runs) == cc_multiset(g, sub)
         along = path_order(g)
         blocks = [tuple(sorted(along[start:start + size])) for start, size in runs]
         assert sorted(blocks) == connected_components(g, sub)
+        ends = [start + size for start, size in runs]
+        assert all(end < start for end, (start, _) in zip(ends, runs[1:]))
+        assert all(size > 0 for _, size in runs) and (not runs or ends[-1] <= g.n)
+
+
+# (n, edges, A, B, moves as (size, from, to), states): each answers yes
+# under CS and CJ alike
+TINY_PATHS = [
+    (0, [], [], [], [], [[]]),
+    (1, [], [], [], [], [[]]),
+    (1, [], [0], [0], [], [[0]]),
+    (2, [[0, 1]], [0], [1], [(1, 0, 1)], [[0], [1]]),
+    (2, [[1, 0]], [1], [0], [(1, 1, 0)], [[1], [0]]),
+    (2, [[0, 1]], [0, 1], [0, 1], [], [[0, 1]]),
+]
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+@pytest.mark.parametrize("rule", ["CS", "CJ"])
+@pytest.mark.parametrize("n, edges, a, b, moves, states", TINY_PATHS)
+def test_cli_solves_tiny_paths(tmp_path, capsys, n, edges, a, b, moves, states, rule, compressed):
+    """Paths of 0, 1 and 2 vertices go to the path solver and answer
+    with the same report as before runs came from the occupancy."""
+    inst = tmp_path / "i.json"
+    inst.write_text(json.dumps({"graph": {"n": n, "edges": edges}, "A": a, "B": b, "rule": rule}))
+    assert main(["solve", str(inst)] + ["--compressed"] * compressed) == 0
+    report = json.loads(capsys.readouterr().out)
+    report["stats"].pop("seconds")
+    want = {
+        "answer": "yes",
+        "rule": rule,
+        "algorithm": "path",
+        "stats": {"n": n, "length": len(moves)},
+        "moves": [{"size": s, "from": f, "to": t} for s, f, t in moves],
+    }
+    if not compressed:
+        want["states"] = states
+    assert report == want
+    assert list(report) == ["answer", "rule", "algorithm", "stats"] + ["states"] * (
+        not compressed) + ["moves"]
+
+
+def _cj_by_full_passes(n, runs_a, runs_b):
+    """The CJ witness as first written: tagged entries compared through
+    their rank in B, bubble passes over the whole profile until one
+    makes no swap."""
+    profile_a = [s for _, s in runs_a]
+    profile_b = [s for _, s in runs_b]
+    if sorted(profile_a) != sorted(profile_b):
+        return Result(Rule.CJ, False, reason="multiset-mismatch")
+    occupied = sum(profile_a)
+    k = len(runs_a)
+    free = n - occupied - k
+    if [s for s in profile_a if s > free] != [s for s in profile_b if s > free]:
+        return Result(Rule.CJ, False, reason="buffer-exceeded")
+    if runs_a == runs_b:
+        return Result(Rule.CJ, True, moves=())
+    moves = _pack_left_jumps(runs_a)
+    tail = occupied + k
+    cur = _tagged(profile_a)
+    want_rank = {e: i for i, e in enumerate(_tagged(profile_b))}
+    swapped = True
+    while swapped:
+        swapped = False
+        la = 0
+        for j in range(len(cur) - 1):
+            if want_rank[cur[j]] > want_rank[cur[j + 1]]:
+                sl, sr = cur[j][0], cur[j + 1][0]
+                if sl < sr:
+                    small_size, small_from, small_to = sl, la, la + sr + 1
+                    big_size, big_from, big_to = sr, la + sl + 1, la
+                else:
+                    small_size, small_from, small_to = sr, la + sl + 1, la
+                    big_size, big_from, big_to = sl, la, la + sr + 1
+                moves.append(CompressedMove(small_size, small_from, tail))
+                moves.append(CompressedMove(big_size, big_from, big_to))
+                moves.append(CompressedMove(small_size, tail, small_to))
+                cur[j], cur[j + 1] = cur[j + 1], cur[j]
+                swapped = True
+            la += cur[j][0] + 1
+    moves.extend(mv.inverse() for mv in reversed(_pack_left_jumps(runs_b)))
+    return Result(Rule.CJ, True, moves=tuple(moves))
+
+
+def _random_runs(rng, n, profile):
+    """Runs with this left-to-right profile on a path of n vertices, the
+    slack spread over the gaps at random."""
+    slack = n - sum(profile) - max(len(profile) - 1, 0)
+    cuts = sorted(rng.randint(0, slack) for _ in profile)
+    runs, packed = [], 0
+    for size, cut in zip(profile, cuts):
+        runs.append((packed + cut, size))
+        packed += size + 1
+    return runs
+
+
+def test_cj_witness_matches_full_passes():
+    """Ending each bubble pass at the last swap of the one before leaves
+    the answer, the reason and every move as full passes give them."""
+    rng = random.Random(2026)
+    swaps = 0
+    reasons = set()
+    for _ in range(2400):
+        k = rng.randint(0, 8)
+        profile_a = [rng.randint(1, rng.choice([2, 4, 7])) for _ in range(k)]
+        profile_b = profile_a[:]
+        rng.shuffle(profile_b)
+        if k and rng.random() < 0.1:
+            profile_b[rng.randrange(k)] += 1
+        n = rng.randint(max(sum(profile_a), sum(profile_b)) + k, 60)
+        runs_a, runs_b = _random_runs(rng, n, profile_a), _random_runs(rng, n, profile_b)
+        for runs in runs_a, runs_b:
+            assert all(s + size < t for (s, size), (t, _) in zip(runs, runs[1:]))
+            assert not runs or runs[-1][0] + runs[-1][1] <= n
+        got = _solve_cj(n, runs_a, runs_b)
+        want = _cj_by_full_passes(n, runs_a, runs_b)
+        assert (got.reachable, got.reason, got.moves) == (want.reachable, want.reason, want.moves)
+        swaps += got.reachable and len(got.moves) > len(runs_a) + len(runs_b)
+        reasons.add(got.reason)
+    assert swaps > 500 and reasons == {None, "buffer-exceeded", "multiset-mismatch"}
