@@ -184,6 +184,17 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is invalid input too
+        sys.exit(_fail(EXIT_INVALID, f"{self.prog}: {message}"))
+
+
+def _state_cap(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a number of states >= 0, got {text!r}")
+    return int(text)
+
+
 def _run_path(g, a, b, rule, args, runs):
     if runs is None:  # the host is not a path
         path_order(g)  # raises, saying why
@@ -334,6 +345,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _check_vertex_count(args.n)
     rng = random.Random(args.seed)
     if args.kind == "path":
         g, a, b = gen_path_instance(rng, args.n, parts=args.parts)
@@ -350,7 +362,7 @@ def _cmd_gen(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ccreconfig",
         description="Reconfigure vertex subsets under connected-component rules.",
     )
@@ -361,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rule", help="override the instance rule (TJ TS CJ CS CS1)")
         p.add_argument(
             "--state-cap",
-            type=int,
+            type=_state_cap,
             default=DEFAULT_STATE_CAP,
             help="abort exhaustive search beyond this many states",
         )

@@ -8,17 +8,17 @@ splits the instance per part.  In a connected region, all edges between two
 co-components are present, so any configuration with several components
 is trapped inside a single co-component and the instance descends there.
 Two single-component configurations are always at slide distance 0, 1,
-or 2: one move if their union is connected, otherwise through a ball
-grown from a vertex outside their co-component, which is adjacent to
-both.  In the one-exchange variant the distance is the number of
-vertices to replace, plus one when the union is disconnected.
+or 2: one move if their union is connected, otherwise two, the first
+swapping one vertex of the source for a vertex outside their
+co-component, which is adjacent to both.  The one-exchange variant
+makes the same first move; its distance is the number of vertices to
+replace, plus one when the union is disconnected.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-
-from collections import Counter, deque
 from typing import Iterable
 
 from .errors import (
@@ -29,8 +29,9 @@ from .errors import (
 from .graph import (
     Graph,
     _clean_subset,
+    _replay_jumps,
     _touch,
-    cc_multiset,
+    connected_components,
     is_connected_set,
 )
 from .rules import Result, Rule
@@ -195,26 +196,6 @@ def is_cograph(g: Graph) -> bool:
     return decompose_cograph(g) is not None
 
 
-def _bfs_ball(g: Graph, region: frozenset[int], start: int, size: int) -> frozenset[int]:
-    """First `size` vertices in breadth-first visit order from start,
-    inside the given region."""
-    seen = {start}
-    order = [start]
-    queue = deque([start])
-    while queue and len(order) < size:
-        v = queue.popleft()
-        for u in sorted(g.adj[v]):
-            if u in region and u not in seen:
-                seen.add(u)
-                order.append(u)
-                queue.append(u)
-                if len(order) == size:
-                    break
-    if len(order) < size:
-        raise InternalContradictionError("region too small for ball")
-    return frozenset(order)
-
-
 def _co_part_of(join: CotreeNode, vertices: frozenset[int]) -> CotreeNode:
     """The child of a join node (a co-component) that holds the vertices."""
     for child in join.children:
@@ -227,13 +208,6 @@ def _co_part_of(join: CotreeNode, vertices: frozenset[int]) -> CotreeNode:
     raise InternalContradictionError("configuration outside every co-component")
 
 
-def _outside_vertex(join: CotreeNode, vertices: frozenset[int]) -> int:
-    """Lowest vertex of the join node outside the co-component holding
-    the vertices; it is adjacent to every one of them."""
-    home = set(_co_part_of(join, vertices).vertices)
-    return min(v for v in join.vertices if v not in home)
-
-
 def _one_component_states(
     g: Graph,
     join: CotreeNode,
@@ -241,39 +215,27 @@ def _one_component_states(
     y: frozenset[int],
     variant: Rule,
 ) -> list[frozenset[int]]:
-    """Slide sequence between two connected sets of the same size inside
-    the connected region of a join node.  Both sets are connected, so
-    they touch iff their union is connected."""
-    if x == y:
-        return [x]
-    if variant is Rule.CS:
-        if _touch(g, x, y):
-            return [x, y]
-        z = _outside_vertex(join, x | y)
-        ball = _bfs_ball(g, frozenset(join.vertices), z, len(x))
-        return [x, ball, y]
-
+    """Slide sequence between two distinct connected sets of the same
+    size inside the connected region of a join node.  Both sets are
+    connected, so they touch iff their union is connected.  When they do
+    not, both rules first swap the lowest vertex of x not in y for the
+    lowest vertex of the join outside the co-component that holds x and
+    y, which is adjacent to both; CS then moves onto y, CS1 exchanges one
+    vertex at a time."""
     states = [x]
-    cur = x
-    if not _touch(g, cur, y):
-        z = _outside_vertex(join, cur | y)
-        gone = min(cur - y)
-        cur = (cur - {gone}) | {z}
-        states.append(cur)
+    if not _touch(g, x, y):
+        home = set(_co_part_of(join, x | y).vertices)
+        z = min(v for v in join.vertices if v not in home)
+        states.append((x - {min(x - y)}) | {z})
+    if variant is Rule.CS:
+        return states + [y]
+    cur = states[-1]
     while cur != y:
-        nxt = None
-        for out in sorted(cur - y):
-            for came in sorted(y - cur):
-                # cand holds came, a vertex of y, so it touches y
-                cand = (cur - {out}) | {came}
-                if is_connected_set(g, cand):
-                    nxt = cand
-                    break
-            if nxt is not None:
-                break
-        if nxt is None:
+        # each exchange brings in a vertex of y, so it touches y
+        exchanges = ((cur - {out}) | {came} for out in sorted(cur - y) for came in sorted(y - cur))
+        cur = next((cand for cand in exchanges if is_connected_set(g, cand)), None)
+        if cur is None:
             raise InternalContradictionError("no admissible exchange toward target")
-        cur = nxt
         states.append(cur)
     return states
 
@@ -296,36 +258,45 @@ def solve_cograph_cs(
     root = decompose_cograph(g)
     if root is None:
         raise NotACographError("graph contains an induced four-vertex path")
-    va = frozenset(_clean_subset(g, a))
-    vb = frozenset(_clean_subset(g, b))
+    va = _clean_subset(g, a)
 
-    # Depth first over the cotree, children in order: a union node hands
-    # each child its own part, a join node either moves a single
-    # component there or passes both sets down to the co-component that
-    # holds them.  Parts not reached yet still hold A and finished parts
-    # hold B, so each step changes the current state inside one region.
-    states = [va]
-    pending = [(root, va, vb)]
+    # Depth first over the cotree, children in order, with the components
+    # of A and of B in each region, found once: a union node hands each
+    # component to the child that holds its first vertex, a join node
+    # either moves a single component there or passes both lists down to
+    # the co-component that holds them.  Parts not reached yet still hold
+    # A and finished parts hold B, so each move changes the current state
+    # inside one region.  The lists are ordered by size, then by lowest
+    # vertex, and a split keeps that order: two lists hold the same
+    # components iff they are equal, and the same sizes iff their lengths
+    # are.  Moves aside, a visit costs O(|node| + #children): O(n + m) in
+    # all, as the node sizes sum to the vertex depths (see the README).
+    jumps: list[tuple[frozenset[int], frozenset[int]]] = []
+    pending = [(root, *(sorted(connected_components(g, x), key=len) for x in (va, b)))]
     while pending:
-        node, xa, xb = pending.pop()
-        while xa != xb:
-            sizes = cc_multiset(g, xa)
-            if sizes != cc_multiset(g, xb):
-                return Result(variant, False, reason="multiset-mismatch")
-            if node.kind == "union":
-                for child in reversed(node.children):
-                    block = frozenset(child.vertices)
-                    pending.append((child, xa & block, xb & block))
-                break
-            # two distinct sets with one multiset do not fit in a leaf, so
-            # this is a join node
-            if len(sizes) == 1:
-                rest = states[-1] - xa
-                steps = _one_component_states(g, node, xa, xb, variant)
-                states.extend(rest | step for step in steps[1:])
-                break
-            home = _co_part_of(node, xa)
-            if home is not _co_part_of(node, xb):
+        node, ca, cb = pending.pop()
+        if ca == cb:
+            continue
+        if list(map(len, ca)) != list(map(len, cb)):
+            return Result(variant, False, reason="multiset-mismatch")
+        if node.kind == "union":
+            # the largest child takes what the lookup lacks: a deep part is never copied
+            kids = node.children
+            big = max(kids, key=lambda kid: len(kid.vertices))
+            owner = {v: kid for kid in kids if kid is not big for v in kid.vertices}
+            parts: dict[CotreeNode, tuple[list, list]] = {}
+            for side, comps in enumerate((ca, cb)):
+                for c in comps:
+                    parts.setdefault(owner.get(c[0], big), ([], []))[side].append(c)
+            pending += ((kid, *parts[kid]) for kid in reversed(kids) if kid in parts)
+        # two distinct sets with one multiset do not fit in a leaf, so
+        # this is a join node
+        elif len(ca) == 1:
+            steps = _one_component_states(g, node, frozenset(ca[0]), frozenset(cb[0]), variant)
+            jumps += zip(steps, steps[1:])
+        else:
+            home = _co_part_of(node, frozenset().union(*ca))
+            if home is not _co_part_of(node, frozenset().union(*cb)):
                 return Result(variant, False, reason="co-component-mismatch")
-            node = home
-    return Result(variant, True, tuple(tuple(sorted(s)) for s in states))
+            pending.append((home, ca, cb))
+    return Result(variant, True, _replay_jumps(va, jumps))

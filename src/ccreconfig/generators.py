@@ -60,6 +60,8 @@ def gen_path_instance(
     if n < 1:
         raise InvalidInstanceError("need at least one vertex")
     k = parts if parts is not None else rng.randint(1, (n + 1) // 2)
+    if k < 0:
+        raise InvalidInstanceError("number of components must be non-negative")
     if k * 2 - 1 > n:
         raise InvalidInstanceError(f"cannot fit {k} components on {n} vertices")
     occupied = rng.randint(k, n - (k - 1))

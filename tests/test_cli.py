@@ -17,6 +17,7 @@ import ccreconfig
 from ccreconfig import Graph, Rule, cc_multiset, cli, verify_sequence
 from ccreconfig.cli import main
 from ccreconfig.generators import gen_chordal_instance, gen_cograph_instance, gen_path_instance
+from ccreconfig.graph import MAX_VERTICES
 
 from helpers import random_graph, threshold_graph
 
@@ -537,6 +538,43 @@ def test_huge_vertex_count_exits_3(tmp_path, capsys):
         code, report, err = run(capsys, ["solve", path])
         assert code == 3 and report is None
         assert len(err.splitlines()) == 1 and "limit" in json.loads(err)["error"]
+
+    code, report, err = run(capsys, ["gen", "--kind", "path", "--n", str(MAX_VERTICES + 1)])
+    assert code == 3 and report is None
+    assert len(err.splitlines()) == 1 and "limit" in json.loads(err)["error"]
+
+
+def test_gen_rejects_negative_parts(capsys):
+    code, report, err = run(capsys, ["gen", "--kind", "path", "--n", "10", "--parts", "-3"])
+    assert code == 3 and report is None
+    assert "non-negative" in json.loads(err)["error"]
+    code, report, _ = run(capsys, ["gen", "--kind", "path", "--n", "10", "--parts", "0"])
+    assert code == 0 and report["A"] == report["B"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "x.json", "--algorithm", "foo"], ["solve", "x.json", "--state-cap", "abc"],
+     ["solve", "P4_TJ", "--state-cap", "-1"], ["oracle", "P4_TJ", "--state-cap", "-2"],
+     ["oracle"], ["verify", "x.json"], ["gen", "--kind", "path"], ["gen", "--n", "x"], []],
+)
+def test_usage_errors_exit_3_with_one_json_line(tmp_path, capsys, argv):
+    inst = write(tmp_path, "i.json", {"graph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+                                      "A": [0, 2], "B": [1, 3], "rule": "TJ"})
+    with pytest.raises(SystemExit) as exit_info:
+        main([inst if arg == "P4_TJ" else arg for arg in argv])
+    out = capsys.readouterr()
+    assert exit_info.value.code == 3 and out.out == ""
+    assert len(out.err.splitlines()) == 1 and "error" in json.loads(out.err)
+
+
+def test_state_cap_0_is_a_cap_and_help_exits_0(tmp_path, capsys):
+    code, _, err = run(capsys, ["oracle", write(tmp_path, "i.json", P7_CJ), "--state-cap", "0"])
+    assert code == 4 and "cap of 0 states" in json.loads(err)["error"]
+    for argv in (["--help"], ["solve", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0 and capsys.readouterr().out.startswith("usage: ")
 
 
 DEEP_N = 1600  # cotree levels, above the default recursion limit of 1000

@@ -19,10 +19,11 @@ from ccreconfig import (
     solve_cograph_cs,
     verify_sequence,
 )
+from ccreconfig import cographs, graph
 from ccreconfig.generators import random_cotree_graph
 from ccreconfig.oracle import enumerate_states
 
-from helpers import all_graphs, has_induced_p4, naive_cotree, random_graph
+from helpers import all_graphs, has_induced_p4, naive_cotree, random_graph, threshold_graph
 
 TWO_TRIANGLES = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
 # two disjoint edges joined to everything across, plus a fifth vertex
@@ -95,6 +96,31 @@ def test_one_component_cs_distances():
     assert solve_cograph_cs(complete_graph(4), [0, 1], [2, 3]).distance == 1
     assert solve_cograph_cs(complete_graph(4), [0, 1], [0, 1]).distance == 0
     assert solve_cograph_cs(PINNED, [0, 1], [2, 3]).distance == 2
+
+
+def test_cs_middle_state_is_the_cs1_first_step():
+    # {0, 1} and {2, 3} do not touch: both rules first swap 0 for 4
+    res = solve_cograph_cs(PINNED, [0, 1], [2, 3])
+    assert res.states == ((0, 1), (1, 4), (2, 3))
+    assert solve_cograph_cs(PINNED, [0, 1], [2, 3], variant=Rule.CS1).states[1] == (1, 4)
+
+
+@pytest.mark.parametrize("variant", [Rule.CS, Rule.CS1])
+def test_components_are_found_once_per_solve(monkeypatch, variant):
+    calls = []
+    find = graph.connected_components
+
+    def counted(g, vertices):
+        calls.append(vertices)
+        return find(g, vertices)
+
+    monkeypatch.setattr(graph, "connected_components", counted)
+    monkeypatch.setattr(cographs, "connected_components", counted, raising=False)
+    g = threshold_graph(40)  # one cotree level per vertex
+    # independent singletons that differ at the bottom of the cotree
+    res = solve_cograph_cs(g, [0, 2, 20, 38], [1, 2, 20, 38], variant=variant)
+    assert len(calls) == 2
+    assert res.reachable and verify_sequence(g, res.states, rule=variant)
 
 
 def test_one_component_cs1_distances():
