@@ -326,7 +326,7 @@ def _cmd_verify(args) -> int:
             raise InvalidInstanceError('"moves" must be a list')
         if all(isinstance(mv, dict) for mv in moves):
             moves = [CompressedMove.from_json(mv) for mv in moves]
-            states = list(expand_moves(g, a, moves, rule).states)
+            states = expand_moves(g, a, moves, rule).states
         else:
             states = _replay_jumps(a, [_jump(mv) for mv in moves])
     elif isinstance(seq, list):

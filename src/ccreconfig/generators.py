@@ -202,6 +202,8 @@ def gen_chordal_instance(
 ) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
     """Chordal graph plus two configurations whose components all have
     one common size.  Shrinks the instance when placement keeps failing."""
+    if (size is not None and size < 1) or (count is not None and count < 0):
+        raise InvalidInstanceError("component size must be positive and count non-negative")
     g = random_chordal_graph(rng, n)
     s = size if size is not None else rng.randint(1, 3)
     k = count if count is not None else rng.randint(1, 3)

@@ -8,7 +8,7 @@ oracle.py, which builds its own neighbour masks for each small search.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import deque
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
@@ -207,27 +207,40 @@ def _clean_subset(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
     return tuple(vs)
 
 
+# A jump changing at most this many vertices edits the sorted list in place
+# (a bisect and a tail memmove per vertex); a larger one merges slices.  On 20
+# scattered jumps per case, in-place/merge time was 0.18-0.48 up to 32 changed
+# vertices in 500-100 000-vertex states, 0.62-1.52 for 64-256 at 20 000-100 000.
+_EDIT_IN_PLACE_MAX = 32
+
+
 def _replay_jumps(
     start: Iterable[int], jumps: Iterable[tuple[Iterable[int], Iterable[int]]]
 ) -> tuple[tuple[int, ...], ...]:
     """States after each (source, target) jump from start, a sorted subset
     without repeats, applied as plain set updates (legality is for the
-    verifier).  The state stays one sorted list, edited by slices at
-    bisected indices: O(s log k) steps for s moved vertices, no sort."""
+    verifier).  The state stays one sorted list, edited in place or merged
+    by slices (see _EDIT_IN_PLACE_MAX); each state is one tuple copy of it."""
     cur, have = list(start), set(start)
     states = [tuple(cur)]
     for src, dst in jumps:
         dst = set(dst)
         gone, new = have.intersection(src) - dst, dst - have
         have ^= gone | new  # gone lies in have, new outside it
-        merged, last = [], 0
-        # (index in cur, whether to drop the vertex there or add v before it, v)
-        for i, drop, v in sorted((bisect_left(cur, v), v in gone, v) for v in gone | new):
-            merged += cur[last:i]
-            if not drop:
-                merged.append(v)
-            last = i + drop
-        cur = merged + cur[last:]
+        if len(gone) + len(new) <= _EDIT_IN_PLACE_MAX:
+            for v in gone:
+                del cur[bisect_left(cur, v)]
+            for v in new:
+                insort(cur, v)
+        else:
+            merged, last = [], 0
+            # (index in cur, whether to drop the vertex there or add v before it, v)
+            for i, drop, v in sorted((bisect_left(cur, v), v in gone, v) for v in gone | new):
+                merged += cur[last:i]
+                if not drop:
+                    merged.append(v)
+                last = i + drop
+            cur = merged + cur[last:]
         states.append(tuple(cur))
     return tuple(states)
 

@@ -552,6 +552,16 @@ def test_gen_rejects_negative_parts(capsys):
     assert code == 0 and report["A"] == report["B"] == []
 
 
+@pytest.mark.parametrize("flags", [["--size", "0"], ["--size", "-1"], ["--count", "-1"]])
+def test_gen_chordal_rejects_empty_components_and_negative_count(capsys, flags):
+    code, report, err = run(capsys, ["gen", "--kind", "chordal", "--n", "10", "--size", "2",
+                                     "--count", "2", *flags])
+    assert code == 3 and report is None
+    assert len(err.splitlines()) == 1 and "component size" in json.loads(err)["error"]
+    code, report, _ = run(capsys, ["gen", "--kind", "chordal", "--n", "10", "--count", "0"])
+    assert code == 0 and report["A"] == report["B"] == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [["solve", "x.json", "--algorithm", "foo"], ["solve", "x.json", "--state-cap", "abc"],

@@ -11,6 +11,7 @@ from ccreconfig.graph import (
     Graph,
     SizeMultiset,
     _clean_subset,
+    _EDIT_IN_PLACE_MAX,
     _replay_jumps,
     _touch,
     cc_multiset,
@@ -155,6 +156,30 @@ def test_replay_jumps_matches_set_updates():
             state.update(dst)
             want.append(tuple(sorted(state)))
         assert _replay_jumps(start, jumps) == tuple(want)
+
+
+@pytest.mark.parametrize("changed", [0, _EDIT_IN_PLACE_MAX, _EDIT_IN_PLACE_MAX + 1, 400])
+def test_replay_jumps_edits_in_place_and_merges_like_set_updates(changed):
+    """Both ways of editing the state (in place up to _EDIT_IN_PLACE_MAX
+    changed vertices, a merge beyond) give the plain set updates, with
+    absent sources, repeated vertices and targets that overlap the state."""
+    rng = random.Random(changed)
+    n = 3000
+    state = set(rng.sample(range(n), rng.randint(1000, 2000)))
+    start = tuple(sorted(state))
+    jumps, want = [], [start]
+    for _ in range(20):
+        gone = rng.sample(sorted(state), rng.choice([changed // 2, changed - changed // 2]))
+        new = rng.sample(sorted(set(range(n)) - state), changed - len(gone))
+        # padding that changes nothing: absent sources, repeats, kept targets
+        src = gone + gone[:2] + new[:3] + rng.sample(sorted(set(range(n)) - state), 3)
+        kept = rng.sample(sorted(state - set(gone)), 3)
+        dst = new + new[:2] + kept
+        jumps.append((src + kept, dst))
+        state.difference_update(src + kept)
+        state.update(dst)
+        want.append(tuple(sorted(state)))
+    assert _replay_jumps(start, jumps) == tuple(want)
 
 
 def test_size_multiset():
