@@ -17,6 +17,7 @@ from .errors import InvalidInstanceError, WrongGraphClassError
 
 if TYPE_CHECKING:
     from .cographs import CotreeNode
+    from .oracle import StateSpace
 
 __all__ = [
     "Graph",
@@ -54,7 +55,8 @@ class Graph:
     Self-loops and duplicate edges are rejected.  Treat instances as
     frozen: all derived structure is shared freely across threads.  The
     class facts the solvers rest on (path order, cotree) are computed on
-    first use and cached on the instance.
+    first use and cached on the instance, and so is the oracle's last
+    state space, in one slot that a space for another multiset replaces.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -76,6 +78,8 @@ class Graph:
             m += 1
         self.m = m
         self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
+        # the oracle's last state space, one slot kept by oracle.py
+        self._state_space: StateSpace | None = None
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:

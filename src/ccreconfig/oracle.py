@@ -4,7 +4,9 @@ Enumerates every subset whose component-size multiset equals the target
 (placing components largest-first behind a no-touch frontier), then runs
 plain breadth-first search over single moves.  The search works on int
 bitmasks (bit v for vertex v), with the neighbour masks of each vertex
-built per state space; the rest of the package uses sorted tuples.
+built per state space; the rest of the package uses sorted tuples.  A
+graph keeps the last state space searched, so a solve and an export on
+one graph enumerate once.
 Everything is deterministic: states live in canonical subset order,
 neighbor lists are sorted, and shortest paths follow first-discovery
 parents.
@@ -13,7 +15,9 @@ parents.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .errors import InternalContradictionError, StateSpaceTooLargeError
@@ -109,8 +113,17 @@ def connected_k_subsets(g: Graph, k: int) -> list[int]:
                 nbrs = adj[wbit.bit_length() - 1]
                 grown = ext | nbrs & above & ~closed
                 stack.append((sub | wbit, grown, closed | wbit | nbrs, need - 1))
-    out.sort(key=vertices_of)
+    out.sort(key=_canonical, reverse=True)
     return out
+
+
+def _canonical(mask: int) -> str:
+    """Sort key for masks with equal bit counts: sorted-tuple order is
+    the descending order of the bit-reversed mask, so sort on this with
+    reverse=True.  The string is the mask's bits from vertex 0 up; its
+    last character is always 1, so unequal lengths compare as if padded
+    with zeros."""
+    return format(mask, "b")[::-1]
 
 
 @dataclass
@@ -123,12 +136,23 @@ class StateSpace:
     index: dict[int, int]
     pools: dict[int, list[tuple[int, int]]]  # size -> [(comp mask, closed nbhd)]
     adj: tuple[int, ...]  # neighbour mask per vertex
+    # rule -> source component -> pool entries it may slide onto; filled
+    # by neighbors() on first use
+    _slides: dict[Rule, dict[int, list[tuple[int, int]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.states)
 
     def state_vertices(self, i: int) -> tuple[int, ...]:
         return vertices_of(self.states[i])
+
+    @cached_property
+    def _vertex_bits(self) -> tuple[list[int], list[list[int]]]:
+        """Every vertex's bit, and per vertex the bits of its neighbours."""
+        bits = [1 << v for v in range(len(self.adj))]
+        return bits, [[1 << w for w in bits_of(m)] for m in self.adj]
 
 
 def enumerate_states(
@@ -137,46 +161,64 @@ def enumerate_states(
     *,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> StateSpace:
-    """Every subset of G whose component sizes realize the multiset."""
+    """Every subset of G whose component sizes realize the multiset.
+
+    Components are placed largest first, equal sizes in increasing pool
+    order, so each state is produced once.  Each placement keeps the pool
+    entries that miss the closed neighbourhoods placed so far, and is cut
+    when fewer are left than components of that size remain to place; at
+    the last component every entry left completes a state.
+    """
     target = SizeMultiset(multiset)
     sizes_desc = sorted(Counter(target).items(), reverse=True)
-    order: list[int] = []
-    for size, count in sizes_desc:
-        order.extend([size] * count)
     adj = tuple(map(mask_of, g.adj))
     pools = {
         size: [(cmask, _closed_neighborhood(adj, cmask)) for cmask in connected_k_subsets(g, size)]
         for size, _ in sizes_desc
     }
-    level = [pools[size] for size in order]
+    # per component to place: its size, and how many components of that
+    # size are still to place, itself included
+    order = [(size, need) for size, count in sizes_desc for need in range(count, 0, -1)]
+    last = len(order) - 1
     found = [] if order else [0]
-    # Depth first, one frame per placed component: the pool indices not yet
-    # tried for it, its pool, and the closed neighbourhoods and state of the
-    # components placed before it.
+    # Depth first, one frame per placed component: the entries it may
+    # take, the indices of those not yet tried, and the closed
+    # neighbourhoods and state of the components placed before it.
     frames = []
     if order and target.total <= g.n:
-        frames.append((iter(range(len(level[0]))), level[0], 0, 0))
-    while frames:
-        untried, pool, forbidden, acc = frames[-1]
-        for idx in untried:
-            cmask, closed = pool[idx]
-            if not cmask & forbidden:
-                break
+        first = pools[order[0][0]]
+        if last:
+            frames.append((first, iter(range(len(first) - order[0][1] + 1)), 0, 0))
         else:
-            frames.pop()
-            continue
-        oi = len(frames)
-        if oi == len(order):
-            found.append(acc | cmask)
+            found = [cmask for cmask, _ in first]
             if len(found) > state_cap:
                 raise StateSpaceTooLargeError(state_cap)
+    while frames:
+        avail, untried, forbidden, acc = frames[-1]
+        i = next(untried, None)
+        if i is None:
+            frames.pop()
             continue
-        # equal-size components are placed with increasing pool index so
-        # each state is produced exactly once
-        start = idx + 1 if order[oi] == order[oi - 1] else 0
-        pool = level[oi]
-        frames.append((iter(range(start, len(pool))), pool, forbidden | closed, acc | cmask))
-    found.sort(key=vertices_of)
+        cmask, closed = avail[i]
+        oi = len(frames)
+        size, need = order[oi]
+        if size == order[oi - 1][0]:
+            # equal sizes go in pool order: only later entries, which
+            # already miss `forbidden`
+            nxt = [e for e in avail[i + 1:] if not e[0] & closed]
+        else:
+            blocked = forbidden | closed
+            nxt = [e for e in pools[size] if not e[0] & blocked]
+        if len(nxt) < need:
+            continue
+        acc |= cmask
+        if oi == last:
+            found.extend([acc | e[0] for e in nxt])
+            if len(found) > state_cap:
+                raise StateSpaceTooLargeError(state_cap)
+        else:
+            frames.append((nxt, iter(range(len(nxt) - need + 1)), forbidden | closed, acc))
+    found.sort(key=_canonical, reverse=True)
     index = {mask: i for i, mask in enumerate(found)}
     return StateSpace(
         graph=g,
@@ -191,37 +233,52 @@ def enumerate_states(
 def neighbors(space: StateSpace, i: int, rule: Rule) -> list[int]:
     """Indices of states one move away from state i, ascending."""
     u = space.states[i]
-    adj = space.adj
     index = space.index
-    out: set[int] = set()
+    out: set[int | None] = set()
     if rule is Rule.TJ or rule is Rule.TS:
-        free = ((1 << len(adj)) - 1) & ~u
-        for a in bits_of(u):
-            targets = (adj[a] & free) if rule is Rule.TS else free
-            stripped = u ^ (1 << a)
-            for b in bits_of(targets):
-                j = index.get(stripped | (1 << b))
-                if j is not None:
-                    out.add(j)
-    else:
-        for c in components_masks(adj, u):
-            rest = u & ~c
-            blocked = _closed_neighborhood(adj, rest)
-            for cmask, closed in space.pools[c.bit_count()]:
-                if cmask == c or cmask & blocked:
-                    continue
-                if rule is Rule.CS1 and (c & ~cmask).bit_count() != 1:
-                    continue
-                # both are connected, so they join iff c meets N[cmask]
-                if rule is not Rule.CJ and not c & closed:
-                    continue
-                j = index.get(rest | cmask)
-                if j is None:
-                    raise InternalContradictionError(
-                        "generated a component move that left the state space"
-                    )
-                out.add(j)
+        every, near = space._vertex_bits
+        # a token at bit a moves to a free bit b: any one, or a neighbour
+        targets = repeat(every) if rule is Rule.TJ else near
+        out.update([
+            index.get((u ^ a) | b)
+            for a, bs in zip(every, targets) if a & u
+            for b in bs if not b & u
+        ])
+        out.discard(None)
+        return sorted(out)
+    pools = space.pools
+    slides = space._slides.setdefault(rule, {})
+    for c in components_masks(space.adj, u):
+        # CJ may jump onto any entry; a slide needs one that c touches
+        targets = pools[c.bit_count()] if rule is Rule.CJ else slides.get(c)
+        if targets is None:
+            # both are connected, so they join iff c meets N[t]
+            targets = slides[c] = [
+                (t, closed) for t, closed in pools[c.bit_count()]
+                if c & closed and t != c and (rule is Rule.CS or (c & ~t).bit_count() == 1)
+            ]
+        rest = u ^ c
+        # t misses N[rest] iff N[t] misses rest
+        try:
+            out.update([index[rest | t] for t, closed in targets if not closed & rest])
+        except KeyError:
+            raise InternalContradictionError(
+                "generated a component move that left the state space"
+            ) from None
+    out.discard(i)  # CJ's pool holds c itself
     return sorted(out)
+
+
+def _graph_space(g: Graph, multiset: SizeMultiset, state_cap: int) -> StateSpace:
+    """The state space of G for the multiset, kept in the graph's one
+    slot: a space for another multiset is replaced, and a kept space
+    larger than state_cap raises, as enumerating it afresh would."""
+    space = g._state_space
+    if space is None or space.multiset != multiset:
+        space = g._state_space = enumerate_states(g, multiset, state_cap=state_cap)
+    elif len(space) > state_cap:
+        raise StateSpaceTooLargeError(state_cap)
+    return space
 
 
 def _search(space: StateSpace, src: int, rule: Rule) -> Iterator[tuple[int, int]]:
@@ -248,14 +305,19 @@ def oracle_solve(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> Result:
     """Exhaustive reachability with a shortest witness sequence; the
-    result's space_size counts the states enumerated."""
+    result's space_size counts the states enumerated.
+
+    The graph keeps the last state space searched, one slot keyed by
+    multiset and bounded by state_cap: a later call for the same
+    multiset reuses it, and raises StateSpaceTooLargeError when it holds
+    more than that call's state_cap states."""
     va, vb = _clean_subset(g, a), _clean_subset(g, b)
     ma = cc_multiset(g, va)
     if ma != cc_multiset(g, vb):
         return Result(rule, False, reason="multiset-mismatch", space_size=0)
     if va == vb:
         return Result(rule, True, (va,), space_size=1)
-    space = enumerate_states(g, ma, state_cap=state_cap)
+    space = _graph_space(g, ma, state_cap)
     try:
         src = space.index[mask_of(va)]
         dst = space.index[mask_of(vb)]
@@ -292,7 +354,7 @@ def build_reconfig_graph(
     *,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> ReconfigGraph:
-    space = enumerate_states(g, multiset, state_cap=state_cap)
+    space = _graph_space(g, SizeMultiset(multiset), state_cap)
     edges = tuple(
         (i, j) for i in range(len(space)) for j in neighbors(space, i, rule) if j > i
     )

@@ -307,6 +307,59 @@ def test_export_dot(tmp_path, capsys):
     assert '[label="{0,2}"]' in text
 
 
+SQUARE_TAIL_CS = {
+    "graph": {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 0], [2, 4], [4, 5]]},
+    "A": [0, 1, 4],
+    "B": [2, 5, 3],
+    "rule": "CS",
+}
+
+SQUARE_TAIL_CS_DOT = (
+    "graph {\n"
+    '  0 [label="{0,1,4}"];\n'
+    '  1 [label="{0,1,5}"];\n'
+    '  2 [label="{0,2,4}"];\n'
+    '  3 [label="{0,3,4}"];\n'
+    '  4 [label="{0,3,5}"];\n'
+    '  5 [label="{0,4,5}"];\n'
+    '  6 [label="{1,2,5}"];\n'
+    '  7 [label="{1,4,5}"];\n'
+    '  8 [label="{2,3,5}"];\n'
+    '  9 [label="{3,4,5}"];\n'
+    "  0 -- 1;\n"
+    "  0 -- 3;\n"
+    "  1 -- 4;\n"
+    "  1 -- 6;\n"
+    "  1 -- 8;\n"
+    "  2 -- 5;\n"
+    "  3 -- 4;\n"
+    "  4 -- 6;\n"
+    "  4 -- 8;\n"
+    "  5 -- 7;\n"
+    "  5 -- 9;\n"
+    "  6 -- 8;\n"
+    "}\n"
+)
+
+
+def test_oracle_export_reuses_the_solved_state_space(tmp_path, capsys, monkeypatch):
+    calls = []
+    enumerate_states = ccreconfig.oracle.enumerate_states
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_states(*args, **kwargs)
+
+    monkeypatch.setattr(ccreconfig.oracle, "enumerate_states", counted)
+    inst = write(tmp_path, "i.json", SQUARE_TAIL_CS)
+    dot = tmp_path / "space.dot"
+    code, report, _ = run(
+        capsys, ["solve", inst, "--algorithm", "oracle", "--export-dot", str(dot)])
+    assert code == 0 and report["stats"]["space"] == 10
+    assert len(calls) == 1
+    assert dot.read_text() == SQUARE_TAIL_CS_DOT
+
+
 def test_export_over_the_cap_still_prints_the_answer(tmp_path, capsys):
     _, inst, _ = run(capsys, ["gen", "--kind", "path", "--n", "60", "--seed", "1"])
     path = write(tmp_path, "i.json", inst)

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from itertools import combinations
 
 import pytest
 
 import helpers
+from ccreconfig import oracle
 from ccreconfig.errors import StateSpaceTooLargeError
 from ccreconfig.graph import (
     SizeMultiset,
@@ -77,6 +79,8 @@ def test_enumerate_states_matches_filter_over_all_subsets():
         for m in seen_multisets:
             space = enumerate_states(g, m)
             assert set(space.states) == by_multiset[m]
+            keys = [vertices_of(mask) for mask in space.states]
+            assert keys == sorted(keys)
         # a multiset nothing realizes
         assert len(enumerate_states(g, [g.n + 1])) == 0
 
@@ -84,6 +88,62 @@ def test_enumerate_states_matches_filter_over_all_subsets():
 def test_enumerate_states_respects_cap():
     with pytest.raises(StateSpaceTooLargeError):
         enumerate_states(empty_graph(10), [1, 1], state_cap=10)
+
+
+@pytest.mark.parametrize(
+    "g, multiset",
+    [
+        (path_graph(7), [3]),  # one component: the pool is the state list
+        (path_graph(9), [3, 2, 1]),  # one component per size
+        (empty_graph(7), [1, 1, 1]),  # each last placement emits several states
+    ],
+    ids=["one-component", "multi-size", "bulk-last-level"],
+)
+def test_state_cap_is_exact(g, multiset):
+    size = len(enumerate_states(g, multiset))
+    assert size > 2
+    assert len(enumerate_states(g, multiset, state_cap=size)) == size
+    for cap in range(size):
+        with pytest.raises(StateSpaceTooLargeError):
+            enumerate_states(g, multiset, state_cap=cap)
+
+
+def test_graph_keeps_one_state_space(monkeypatch):
+    calls = []
+    enumerate_plain = enumerate_states
+
+    def counted(g, multiset, **kwargs):
+        calls.append(tuple(multiset))
+        return enumerate_plain(g, multiset, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_states", counted)
+    g = path_graph(7)
+    res = oracle_solve(g, [0, 2], [4, 6], Rule.TJ)
+    size = res.space_size
+    assert res.reachable and size == 15 and calls == [(1, 1)]
+    # the kept space answers again, within a cap it fits, and not past one
+    assert oracle_solve(g, [0, 2], [3, 6], Rule.TS, state_cap=size).reachable
+    rg = build_reconfig_graph(g, [1, 1], Rule.TJ, state_cap=size)
+    assert rg.space is g._state_space and rg.space.states == enumerate_plain(g, [1, 1]).states
+    with pytest.raises(StateSpaceTooLargeError):
+        oracle_solve(g, [0, 2], [4, 6], Rule.TJ, state_cap=size - 1)
+    assert calls == [(1, 1)]
+    # another multiset replaces it
+    assert oracle_solve(g, [0, 1], [4, 5], Rule.CS).reachable
+    assert calls == [(1, 1), (2,)]
+    assert g._state_space.multiset == (2,)
+    oracle_solve(g, [0, 2], [4, 6], Rule.TJ)
+    assert calls == [(1, 1), (2,), (1, 1)]
+
+
+def test_pruned_walk_on_the_path_family():
+    # k singletons on a path of 2k + 1 vertices: most partial placements
+    # cannot be completed, and the walk cuts them
+    for k in range(1, 10):
+        g = path_graph(2 * k + 1)
+        space = enumerate_states(g, [1] * k)
+        brute = [c for c in combinations(range(g.n), k) if cc_multiset(g, c) == (1,) * k]
+        assert [space.state_vertices(i) for i in range(len(space))] == brute
 
 
 def test_neighbors_match_pairwise_adjacency():
