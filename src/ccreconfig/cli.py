@@ -87,7 +87,6 @@ def _instance_graph(obj: dict) -> Graph:
         raise InvalidInstanceError('instance needs "graph" {n, edges} or "graph_file"')
     if type(payload["n"]) is not int:
         raise InvalidInstanceError('"n" must be an integer')
-    _check_vertex_count(payload["n"])
     edges = payload.get("edges", [])
     if type(edges) is not list or not all(
         type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
@@ -300,10 +299,10 @@ def _cmd_solve(args) -> int:
     return _ANSWER_CODES[res.answer]
 
 
-def _state_list(value: Any) -> list[tuple[int, ...]]:
+def _state_list(value: Any) -> list[list[int]]:
     if type(value) is not list:
         raise InvalidInstanceError("states must be a list of vertex lists")
-    return [tuple(_int_list(s, "a state")) for s in value]
+    return [_int_list(s, "a state") for s in value]
 
 
 def _jump(mv: Any) -> tuple[list[int], list[int]]:

@@ -29,10 +29,10 @@ from .errors import (
 from .graph import (
     Graph,
     _clean_subset,
+    _component,
     _replay_jumps,
     _touch,
     connected_components,
-    is_connected_set,
 )
 from .rules import Result, Rule
 
@@ -233,7 +233,8 @@ def _one_component_states(
     while cur != y:
         # each exchange brings in a vertex of y, so it touches y
         exchanges = ((cur - {out}) | {came} for out in sorted(cur - y) for came in sorted(y - cur))
-        cur = next((cand for cand in exchanges if is_connected_set(g, cand)), None)
+        cur = next((cand for cand in exchanges
+                    if len(_component(g, cand, next(iter(cand)), set())) == len(cand)), None)
         if cur is None:
             raise InternalContradictionError("no admissible exchange toward target")
         states.append(cur)

@@ -17,6 +17,7 @@ from .errors import InvalidInstanceError
 from .graph import Graph, cc_multiset, path_graph
 
 __all__ = [
+    "MAX_EDGES",
     "gen_path_instance",
     "gen_cograph_instance",
     "gen_chordal_instance",
@@ -24,6 +25,13 @@ __all__ = [
     "random_chordal_graph",
     "sample_spread_components",
 ]
+
+
+# Most edges random_cotree_graph builds.  A Graph keeps about 180-250 bytes
+# per edge under tracemalloc (n = 500-2 000, the ints included), so about
+# 0.5 GB at this limit; `gen --kind cograph --n 2000` (1 998 708 edges)
+# peaks at 660 MB RSS.
+MAX_EDGES = 2_000_000
 
 
 def _composition(rng: random.Random, total: int, parts: int) -> list[int]:
@@ -78,7 +86,8 @@ def gen_path_instance(
 
 
 def random_cotree_graph(rng: random.Random, n: int, *, connected: bool = True) -> Graph:
-    """Cograph sampled from a random decomposition tree."""
+    """Cograph sampled from a random decomposition tree.  Raises
+    InvalidInstanceError instead of building more than MAX_EDGES edges."""
     edges: list[tuple[int, int]] = []
 
     def build(lo: int, hi: int, join: bool) -> None:
@@ -90,6 +99,9 @@ def random_cotree_graph(rng: random.Random, n: int, *, connected: bool = True) -
         for p in parts:
             bounds.append(bounds[-1] + p)
         if join:
+            # a join links every pair of vertices in different parts
+            if len(edges) + (size * size - sum(p * p for p in parts)) // 2 > MAX_EDGES:
+                raise InvalidInstanceError(f"cograph would have over {MAX_EDGES} edges")
             for i in range(len(parts)):
                 for j in range(i + 1, len(parts)):
                     for u in range(bounds[i], bounds[i + 1]):
@@ -182,14 +194,16 @@ def _grow_component(
     """Random connected set of `size` free vertices around `start`, or
     None when the free territory of `start` is smaller than that."""
     comp = {start}
-    frontier = [u for u in g.adj[start] if u not in blocked]
+    # draws index neighbours in frozenset order, as seeded instances always
+    # have: an adjacency set grown edge by edge may iterate in another order
+    frontier = [u for u in frozenset(g.adj[start]) if u not in blocked]
     while len(comp) < size:
         frontier = [u for u in frontier if u not in comp and u not in blocked]
         if not frontier:
             return None
         pick = rng.choice(frontier)
         comp.add(pick)
-        frontier.extend(g.adj[pick])
+        frontier.extend(frozenset(g.adj[pick]))
     return comp
 
 

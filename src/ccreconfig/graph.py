@@ -29,16 +29,15 @@ __all__ = [
     "empty_graph",
     "parse_graph",
     "connected_components",
-    "is_connected_set",
     "cc_multiset",
     "co_components",
     "is_chordal",
 ]
 
 
-# Largest vertex count read from an instance or a graph file.  Checked
-# before anything is allocated: a Graph holds two sets per vertex, about
-# 465 MB at this size before the first edge.
+# Largest vertex count of a Graph, checked before anything is allocated:
+# a Graph holds one set per vertex, a 246 MB peak RSS at this size before
+# the first edge.
 MAX_VERTICES = 1_000_000
 
 
@@ -53,15 +52,19 @@ class Graph:
     """Immutable undirected graph on vertices 0..n-1.
 
     Self-loops and duplicate edges are rejected.  Treat instances as
-    frozen: all derived structure is shared freely across threads.  The
-    class facts the solvers rest on (path order, cotree) are computed on
-    first use and cached on the instance, and so is the oracle's last
-    state space, in one slot that a space for another multiset replaces.
+    frozen, `adj` too (it holds the very sets the constructor validated):
+    all derived structure is shared freely across threads.  The class
+    facts the solvers rest on (path order, cotree) are computed on first
+    use and cached on the instance, and so is the oracle's last state
+    space, in one slot that a space for another multiset replaces.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InvalidInstanceError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise InvalidInstanceError("vertex count must be non-negative")
+        _check_vertex_count(n)
         self.n = n
         adj: list[set[int]] = [set() for _ in range(n)]
         m = 0
@@ -77,7 +80,7 @@ class Graph:
             adj[v].add(u)
             m += 1
         self.m = m
-        self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
+        self.adj = adj
         # the oracle's last state space, one slot kept by oracle.py
         self._state_space: StateSpace | None = None
 
@@ -196,7 +199,11 @@ def parse_graph(text: str) -> Graph:
 # subsets
 
 def _clean_subset(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
-    vs = sorted(vertices)
+    vs = list(vertices)
+    try:
+        vs.sort()
+    except TypeError:
+        pass  # an unorderable mix holds a type other than int: the slow pass words it
     if vs and not (set(map(type, vs)) == {int} and 0 <= vs[0] and vs[-1] < g.n
                    and len(set(vs)) == len(vs)):
         # the slow pass words the error, and passes int subclasses
@@ -272,11 +279,6 @@ def connected_components(g: Graph, vertices: Iterable[int]) -> list[tuple[int, .
     return [tuple(sorted(_component(g, inside, s, seen))) for s in vs if s not in seen]
 
 
-def is_connected_set(g: Graph, vertices: Iterable[int]) -> bool:
-    vs = _clean_subset(g, vertices)
-    return bool(vs) and len(_component(g, set(vs), vs[0], set())) == len(vs)
-
-
 def _touch(g: Graph, x: set[int] | frozenset[int], y: Iterable[int]) -> bool:
     """Whether the vertices y share a vertex or an edge with the set x.
     For two connected sets this is exactly "their union is connected"."""
@@ -288,7 +290,11 @@ class SizeMultiset(tuple):
     """Multiset of component sizes, kept as a sorted tuple of ints >= 1."""
 
     def __new__(cls, sizes: Iterable[int] = ()) -> "SizeMultiset":
-        vals = sorted(int(s) for s in sizes)
+        vals = list(sizes)
+        for s in vals:
+            if isinstance(s, bool) or not isinstance(s, int):
+                raise InvalidInstanceError(f"component sizes must be ints, got {s!r}")
+        vals.sort()
         if vals and vals[0] < 1:
             raise InvalidInstanceError("component sizes must be >= 1")
         return super().__new__(cls, vals)

@@ -130,7 +130,6 @@ def _canonical(mask: int) -> str:
 class StateSpace:
     """All valid states for one (graph, multiset) pair."""
 
-    graph: Graph
     multiset: SizeMultiset
     states: tuple[int, ...]
     index: dict[int, int]
@@ -177,22 +176,15 @@ def enumerate_states(
         for size, _ in sizes_desc
     }
     # per component to place: its size, and how many components of that
-    # size are still to place, itself included
-    order = [(size, need) for size, count in sizes_desc for need in range(count, 0, -1)]
+    # size are still to place, itself included; first comes the empty
+    # placement the walk starts from, of size 0
+    order = [(0, 1)] + [(size, need) for size, count in sizes_desc for need in range(count, 0, -1)]
     last = len(order) - 1
-    found = [] if order else [0]
+    found = [] if last else [0]
     # Depth first, one frame per placed component: the entries it may
     # take, the indices of those not yet tried, and the closed
     # neighbourhoods and state of the components placed before it.
-    frames = []
-    if order and target.total <= g.n:
-        first = pools[order[0][0]]
-        if last:
-            frames.append((first, iter(range(len(first) - order[0][1] + 1)), 0, 0))
-        else:
-            found = [cmask for cmask, _ in first]
-            if len(found) > state_cap:
-                raise StateSpaceTooLargeError(state_cap)
+    frames = [([(0, 0)], iter((0,)), 0, 0)] if last and target.total <= g.n else []
     while frames:
         avail, untried, forbidden, acc = frames[-1]
         i = next(untried, None)
@@ -221,7 +213,6 @@ def enumerate_states(
     found.sort(key=_canonical, reverse=True)
     index = {mask: i for i, mask in enumerate(found)}
     return StateSpace(
-        graph=g,
         multiset=target,
         states=tuple(found),
         index=index,

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -603,6 +604,15 @@ def test_gen_rejects_negative_parts(capsys):
     assert "non-negative" in json.loads(err)["error"]
     code, report, _ = run(capsys, ["gen", "--kind", "path", "--n", "10", "--parts", "0"])
     assert code == 0 and report["A"] == report["B"] == []
+
+
+def test_gen_cograph_stops_at_the_edge_limit(capsys):
+    # about 2 x 10^8 edges: rejected at the root join, before any is built
+    start = time.perf_counter()
+    code, report, err = run(capsys, ["gen", "--kind", "cograph", "--n", "20000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and report is None
+    assert len(err.splitlines()) == 1 and "edges" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("flags", [["--size", "0"], ["--size", "-1"], ["--count", "-1"]])

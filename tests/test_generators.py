@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ccreconfig import generators
 from ccreconfig import (
     InvalidInstanceError,
     cc_multiset,
@@ -92,3 +93,14 @@ def test_generators_deterministic():
     pa = gen_path_instance(random.Random(42), 9)
     pb = gen_path_instance(random.Random(42), 9)
     assert pa[1:] == pb[1:]
+
+
+def test_cotree_graph_edge_limit_is_exact(monkeypatch):
+    """The limit counts a join's edges before building them, so a graph
+    with exactly MAX_EDGES edges is built, unchanged, and one more raises."""
+    g = random_cotree_graph(random.Random(5), 30)
+    monkeypatch.setattr(generators, "MAX_EDGES", g.m)
+    assert random_cotree_graph(random.Random(5), 30).edges == g.edges
+    monkeypatch.setattr(generators, "MAX_EDGES", g.m - 1)
+    with pytest.raises(InvalidInstanceError, match=f"over {g.m - 1} edges"):
+        random_cotree_graph(random.Random(5), 30)

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import enum
 import random
+import time
+import tracemalloc
 
 import pytest
 
+import ccreconfig as cc
 import helpers
 from ccreconfig.errors import InvalidInstanceError
 from ccreconfig.graph import (
+    MAX_VERTICES,
     Graph,
     SizeMultiset,
     _clean_subset,
@@ -21,7 +25,6 @@ from ccreconfig.graph import (
     cycle_graph,
     empty_graph,
     is_chordal,
-    is_connected_set,
     parse_graph,
     path_graph,
 )
@@ -139,6 +142,36 @@ def test_clean_subset_words_each_fault():
     assert _clean_subset(g, [Vertex.RIGHT, 1, Vertex.LEFT]) == (0, 1, 2)
 
 
+def test_mixed_type_subsets_are_invalid_at_every_entry_point():
+    """A subset that mixes ints with other types cannot be sorted; every
+    public call that takes a subset words that as invalid input, also for
+    a generator, which is read once."""
+    p4, k4 = path_graph(4), complete_graph(4)
+    calls = [
+        lambda s: cc.connected_components(p4, s),
+        lambda s: cc.cc_multiset(p4, s),
+        lambda s: cc.co_components(p4, s),
+        lambda s: cc.adjacent(p4, s, [1, 2], cc.Rule.CJ),
+        lambda s: cc.adjacent(p4, [1, 2], s, cc.Rule.CJ),
+        lambda s: cc.verify_sequence(p4, [[1, 2], s]),
+        lambda s: cc.oracle_solve(p4, s, [1, 2], cc.Rule.TJ),
+        lambda s: cc.oracle_solve(p4, [1, 2], s, cc.Rule.TJ),
+        lambda s: cc.solve_path_cs(p4, s, [1, 2]),
+        lambda s: cc.solve_path_cj(p4, [1, 2], s),
+        lambda s: cc.expand_moves(p4, s, [], cc.Rule.CS),
+        lambda s: cc.solve_cograph_cs(k4, s, [1, 2]),
+        lambda s: cc.solve_cograph_cs(k4, [1, 2], s, variant=cc.Rule.CS1),
+        lambda s: cc.solve_equal_size_cj(p4, s, [1, 2]),
+        lambda s: cc.build_conflict_graph(p4, [1, 2], s),
+    ]
+    for call in calls:
+        for bad in ([1, "x"], ["a", 0], [1, None]):
+            for given in (bad, (v for v in bad)):
+                with pytest.raises(InvalidInstanceError, match="vertex ids must be ints"):
+                    call(given)
+    assert cc.connected_components(p4, (v for v in (3, 0, 1))) == [(0, 1), (3,)]
+
+
 def test_replay_jumps_matches_set_updates():
     """Jumps are plain set updates, also when a source vertex is absent,
     a vertex repeats, or a target overlaps the state."""
@@ -190,6 +223,44 @@ def test_size_multiset():
         SizeMultiset([0])
 
 
+def test_size_multiset_takes_ints_only():
+    for bad in ([2.9], ["3"], [True], [2, 1.0], [1, None]):
+        with pytest.raises(InvalidInstanceError, match="component sizes must be ints"):
+            SizeMultiset(bad)
+    with pytest.raises(InvalidInstanceError, match="component sizes must be ints"):
+        cc.enumerate_states(path_graph(5), [1.7])
+
+    class Size(enum.IntEnum):
+        TWO = 2
+
+    assert SizeMultiset(s for s in (Size.TWO, 1)) == (1, 2)
+
+
+def test_vertex_count_is_checked_before_allocating():
+    for bad in (True, 2.0, "3", None):
+        with pytest.raises(InvalidInstanceError, match="vertex count must be an int"):
+            Graph(bad)
+    start = time.perf_counter()
+    with pytest.raises(InvalidInstanceError, match=f"exceeds the limit of {MAX_VERTICES}"):
+        Graph(MAX_VERTICES + 1)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_graph_build_keeps_the_sets_it_validates():
+    """The constructor's neighbour sets are the adjacency: building a graph
+    peaks near what the graph keeps, with no second copy of the sets."""
+    n = 20_000
+    edges = [(i, i + 1) for i in range(n - 1)]
+    tracemalloc.start()
+    try:
+        g = Graph(n, edges)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == n - 1
+    assert peak <= 1.25 * kept, (peak, kept)
+
+
 def test_components_match_union_find_exhaustively():
     for n in range(0, 5):
         for g in helpers.all_graphs(n):
@@ -211,7 +282,7 @@ def test_components_partition_subset():
         mins = [b[0] for b in blocks]
         assert mins == sorted(mins)
         for b in blocks:
-            assert is_connected_set(g, b)
+            assert len(connected_components(g, b)) == 1
 
 
 def test_touch_is_union_connectivity_for_connected_sets():
@@ -220,7 +291,8 @@ def test_touch_is_union_connectivity_for_connected_sets():
     seeded pairs at n = 6-7."""
     for n in range(1, 6):
         for g in helpers.all_graphs(n):
-            connected = {m for m in range(1, 1 << n) if is_connected_set(g, vertices_of(m))}
+            connected = {m for m in range(1, 1 << n)
+                         if len(connected_components(g, vertices_of(m))) == 1}
             sets = [(m, set(vertices_of(m))) for m in connected]
             for mx, x in sets:
                 for my, y in sets:
@@ -230,7 +302,7 @@ def test_touch_is_union_connectivity_for_connected_sets():
         g = helpers.random_graph(rng, rng.randint(6, 7), rng.choice([0.2, 0.4]))
         pool = [m for k in (1, 2, 3) for m in connected_k_subsets(g, k)]
         x, y = (set(vertices_of(rng.choice(pool))) for _ in range(2))
-        assert _touch(g, x, y) == is_connected_set(g, x | y), (g.edges, x, y)
+        assert _touch(g, x, y) == (len(connected_components(g, x | y)) == 1), (g.edges, x, y)
 
 
 def test_co_components_examples():
