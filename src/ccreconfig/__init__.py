@@ -12,6 +12,7 @@ from .errors import (
     InvalidInstanceError,
     NotACographError,
     ReconfigError,
+    ReconfigGraphTooLargeError,
     StateSpaceTooLargeError,
     UnequalSizesError,
     WrongGraphClassError,

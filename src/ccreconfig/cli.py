@@ -22,6 +22,7 @@ from .chordal import solve_equal_size_cj
 from .cographs import solve_cograph_cs
 from .errors import (
     InvalidInstanceError,
+    ReconfigGraphTooLargeError,
     StateSpaceTooLargeError,
     WrongGraphClassError,
 )
@@ -291,9 +292,13 @@ def _cmd_solve(args) -> int:
         report["moves"] = [mv.to_json() if isinstance(mv, CompressedMove) else mv
                            for mv in res.moves]
     # the answer goes out before the export, which may outgrow --state-cap
+    # or the edge limit
     _emit(report)
     if args.export_dot:
-        rg = build_reconfig_graph(g, ma, rule, state_cap=args.state_cap)
+        try:
+            rg = build_reconfig_graph(g, ma, rule, state_cap=args.state_cap)
+        except ReconfigGraphTooLargeError as exc:
+            return _fail(EXIT_TOO_LARGE, f"--export-dot {args.export_dot}: {exc}")
         with open(args.export_dot, "w", encoding="utf-8") as fh:
             fh.write(export_dot(rg))
     return _ANSWER_CODES[res.answer]

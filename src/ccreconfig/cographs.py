@@ -12,14 +12,16 @@ or 2: one move if their union is connected, otherwise two, the first
 swapping one vertex of the source for a vertex outside their
 co-component, which is adjacent to both.  The one-exchange variant
 makes the same first move; its distance is the number of vertices to
-replace, plus one when the union is disconnected.
+replace, plus one when the union is disconnected.  A set of two or
+more vertices is connected iff its lowest cotree node is a join, so the
+solver reads connectivity off the cotree instead of searching G.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     InternalContradictionError,
@@ -29,7 +31,6 @@ from .errors import (
 from .graph import (
     Graph,
     _clean_subset,
-    _component,
     _replay_jumps,
     _touch,
     connected_components,
@@ -59,8 +60,19 @@ class CotreeNode:
         return f"CotreeNode({self.kind!r}, {self.vertices}, {len(self.children)} children)"
 
 
-def _build_cotree(g: Graph) -> CotreeNode | None:
-    """Cotree of g, or None if g is not a cograph.
+class Cotree(NamedTuple):
+    """A cotree with its nodes numbered in preorder, children in order:
+    node 0 is the root, nodes[i] is node i, up[i] its parent (-1 at the
+    root), kids[i] its children, and leaf[v] numbers vertex v's leaf."""
+
+    nodes: list[CotreeNode]
+    up: list[int]
+    kids: list[tuple[int, ...]]
+    leaf: list[int]
+
+
+def _build_cotree(g: Graph) -> Cotree | None:
+    """Cotree of g, numbered, or None if g is not a cograph.
 
     Incremental recognition after Corneil, Perl and Stewart ("A linear
     recognition algorithm for cographs", SIAM J. Comput. 14(4), 1985).
@@ -74,7 +86,7 @@ def _build_cotree(g: Graph) -> CotreeNode | None:
     """
     n = g.n
     if n == 0:
-        return CotreeNode("union", ())
+        return Cotree([CotreeNode("union", ())], [-1], [()], [])
     # nodes 0..n-1 are the leaves, node n sits above the root, inner
     # nodes are numbered from n + 1 on
     top = n
@@ -171,19 +183,21 @@ def _build_cotree(g: Graph) -> CotreeNode | None:
                 ordered[parent[w]].append(w)
             got.append(v)
             w = parent[w]
-    (root,) = ordered[top]
-    order = [root]
-    for w in order:  # parents before children
-        order.extend(ordered.get(w, ()))
-    built: dict[int, CotreeNode] = {}
-    for w in reversed(order):
-        if w < n:
-            built[w] = CotreeNode("leaf", (w,))
-        else:
-            built[w] = CotreeNode(
-                kind[w], tuple(members[w]), tuple(built[c] for c in ordered[w])
-            )
-    return built[root]
+    order, stack, rank = [], ordered[top], [0] * len(kind)
+    while stack:  # preorder, children in order
+        w = stack.pop()
+        rank[w] = len(order)
+        order.append(w)
+        stack += reversed(ordered.get(w, ()))
+    nodes: list[CotreeNode] = [None] * len(order)  # type: ignore[list-item]
+    kids = [tuple(rank[c] for c in ordered.get(w, ())) for w in order]
+    for i in reversed(range(len(order))):
+        w = order[i]
+        nodes[i] = CotreeNode("leaf", (w,)) if w < n else CotreeNode(
+            kind[w], tuple(members[w]), tuple(nodes[c] for c in kids[i]))
+    up = [rank[parent[w]] for w in order]
+    up[0] = -1
+    return Cotree(nodes, up, kids, rank[:n])
 
 
 def decompose_cograph(g: Graph) -> CotreeNode | None:
@@ -196,49 +210,83 @@ def is_cograph(g: Graph) -> bool:
     return decompose_cograph(g) is not None
 
 
-def _co_part_of(join: CotreeNode, vertices: frozenset[int]) -> CotreeNode:
-    """The child of a join node (a co-component) that holds the vertices."""
-    for child in join.children:
-        if not vertices.isdisjoint(child.vertices):
-            if not vertices.issubset(child.vertices):
-                raise InternalContradictionError(
-                    "multi-component configuration spans co-components"
-                )
-            return child
-    raise InternalContradictionError("configuration outside every co-component")
+def _parts(ct: Cotree, i: int) -> tuple[int, dict[int, int]]:
+    """Node i's largest child, and every vertex of its other children
+    mapped to its child: a lookup that never copies the largest part."""
+    nodes, kids = ct.nodes, ct.kids[i]
+    big = max(kids, key=lambda c: len(nodes[c].vertices))
+    return big, {v: c for c in kids if c != big for v in nodes[c].vertices}
 
 
-def _one_component_states(
-    g: Graph,
-    join: CotreeNode,
-    x: frozenset[int],
-    y: frozenset[int],
-    variant: Rule,
-) -> list[frozenset[int]]:
-    """Slide sequence between two distinct connected sets of the same
-    size inside the connected region of a join node.  Both sets are
+def _lowest(ct: Cotree, vertices: Iterable[int]) -> int:
+    """The lowest node that holds all the vertices (at least one).  A
+    subtree's preorder numbers form a range that starts at its root, so
+    that node is the first ancestor of the last leaf numbered at most
+    the first leaf."""
+    ranks = [ct.leaf[v] for v in vertices]
+    first, w = min(ranks), max(ranks)
+    up = ct.up
+    while w > first:
+        w = up[w]
+    return w
+
+
+def _one_component_moves(
+    g: Graph, ct: Cotree, j: int, x: tuple[int, ...], y: tuple[int, ...], variant: Rule
+) -> list[tuple[Iterable[int], Iterable[int]]]:
+    """(source, target) jumps between two distinct connected sets of the
+    same size inside the connected region of join node j.  Both sets are
     connected, so they touch iff their union is connected.  When they do
     not, both rules first swap the lowest vertex of x not in y for the
-    lowest vertex of the join outside the co-component that holds x and
-    y, which is adjacent to both; CS then moves onto y, CS1 exchanges one
-    vertex at a time."""
-    states = [x]
-    if not _touch(g, x, y):
-        home = set(_co_part_of(join, x | y).vertices)
-        z = min(v for v in join.vertices if v not in home)
-        states.append((x - {min(x - y)}) | {z})
+    lowest vertex of j outside the co-component that holds x and y,
+    which is adjacent to both; CS then moves onto y, CS1 exchanges one
+    vertex at a time, the first admissible (out, came) pair in order
+    (one always exists, see the README)."""
+    cur, goal = set(x), set(y)
+    moves: list[tuple[Iterable[int], Iterable[int]]] = []
+    if not _touch(g, cur, y):
+        big, owner = _parts(ct, j)
+        home = owner.get(x[0], big)
+        z = min(ct.nodes[c].vertices[0] for c in ct.kids[j] if c != home)
+        out = min(cur - goal)
+        moves.append(((out,), (z,)))
+        cur.remove(out)
+        cur.add(z)
     if variant is Rule.CS:
-        return states + [y]
-    cur = states[-1]
-    while cur != y:
-        # each exchange brings in a vertex of y, so it touches y
-        exchanges = ((cur - {out}) | {came} for out in sorted(cur - y) for came in sorted(y - cur))
-        cur = next((cand for cand in exchanges
-                    if len(_component(g, cand, next(iter(cand)), set())) == len(cand)), None)
-        if cur is None:
-            raise InternalContradictionError("no admissible exchange toward target")
-        states.append(cur)
-    return states
+        return moves + [(cur, y)]
+    outs, cames = sorted(cur - goal), sorted(goal - cur)
+    while outs:
+        # cur | y is connected, so its lowest node j is a join; count cur
+        # per co-component of j until cur | y fits in one of them
+        j = _lowest(ct, cur | goal)
+        big, owner = _parts(ct, j)
+        held = Counter(owner.get(v, big) for v in cur)
+        homes = {owner.get(v, big) for v in goal}
+        home = homes.pop() if len(homes) == 1 else None  # y's one co-component
+
+        def admissible(out: int, came: int) -> bool:
+            po, pc = owner.get(out, big), owner.get(came, big)
+            # co-components of j that the candidate meets
+            meets = len(held) - (held[po] == 1) + (held[pc] == (pc == po))
+            return (len(cur) == 1 or meets > 1
+                    or ct.nodes[_lowest(ct, (cur - {out}) | {came})].kind == "join")
+
+        while outs and held[home] < len(cur):
+            pair = next(((o, c) for o in outs for c in cames if admissible(o, c)), None)
+            if pair is None:
+                raise InternalContradictionError("no admissible exchange toward target")
+            out, came = pair
+            moves.append(((out,), (came,)))
+            cur.remove(out)
+            cur.add(came)
+            outs.remove(out)
+            cames.remove(came)
+            po = owner.get(out, big)
+            held[po] -= 1
+            if not held[po]:
+                del held[po]
+            held[owner.get(came, big)] += 1
+    return moves
 
 
 def solve_cograph_cs(
@@ -246,58 +294,57 @@ def solve_cograph_cs(
     a: Iterable[int],
     b: Iterable[int],
     *,
-    variant: Rule = Rule.CS,
+    variant: Rule | str = Rule.CS,
 ) -> Result:
     """Decide slide reachability on a cograph and build a sequence.
 
     With variant CS the sequence moves whole components; with variant
     CS1 every move exchanges a single vertex and the sequence is as
-    short as possible.
+    short as possible.  The variant may be given by name.
     """
+    variant = Rule.parse(variant)
     if variant not in (Rule.CS, Rule.CS1):
-        raise InvalidInstanceError(f"variant must be CS or CS1, got {variant}")
-    root = decompose_cograph(g)
-    if root is None:
+        raise InvalidInstanceError(f"variant must be CS or CS1, got {variant.value}")
+    ct = g._cotree
+    if ct is None:
         raise NotACographError("graph contains an induced four-vertex path")
     va = _clean_subset(g, a)
 
     # Depth first over the cotree, children in order, with the components
-    # of A and of B in each region, found once: a union node hands each
-    # component to the child that holds its first vertex, a join node
-    # either moves a single component there or passes both lists down to
-    # the co-component that holds them.  Parts not reached yet still hold
-    # A and finished parts hold B, so each move changes the current state
-    # inside one region.  The lists are ordered by size, then by lowest
-    # vertex, and a split keeps that order: two lists hold the same
-    # components iff they are equal, and the same sizes iff their lengths
-    # are.  Moves aside, a visit costs O(|node| + #children): O(n + m) in
-    # all, as the node sizes sum to the vertex depths (see the README).
-    jumps: list[tuple[frozenset[int], frozenset[int]]] = []
-    pending = [(root, *(sorted(connected_components(g, x), key=len) for x in (va, b)))]
+    # of A and of B in each region, found once.  Two or more components
+    # on a side skip the idle levels to the lowest node holding them all
+    # (their first vertices suffice: a component reaching outside that
+    # node spans two co-components of a join above it, so it touches the
+    # others).  A union node hands
+    # each component to the child that holds its first vertex; a join
+    # there holds A in one co-component and B in another.  A single
+    # component moves at the first join.  Parts not reached yet still
+    # hold A and finished parts hold B, so each move changes the current
+    # state inside one region.  The lists are ordered by size, then by
+    # lowest vertex, and a split keeps that order: two lists hold the
+    # same components iff they are equal, and the same sizes iff their
+    # lengths are.  For the cost of a visit, see the README.
+    nodes, kids = ct.nodes, ct.kids
+    jumps: list[tuple[Iterable[int], Iterable[int]]] = []
+    pending = [(0, *(sorted(connected_components(g, x), key=len) for x in (va, b)))]
     while pending:
-        node, ca, cb = pending.pop()
+        i, ca, cb = pending.pop()
         if ca == cb:
             continue
         if list(map(len, ca)) != list(map(len, cb)):
             return Result(variant, False, reason="multiset-mismatch")
-        if node.kind == "union":
-            # the largest child takes what the lookup lacks: a deep part is never copied
-            kids = node.children
-            big = max(kids, key=lambda kid: len(kid.vertices))
-            owner = {v: kid for kid in kids if kid is not big for v in kid.vertices}
-            parts: dict[CotreeNode, tuple[list, list]] = {}
-            for side, comps in enumerate((ca, cb)):
-                for c in comps:
-                    parts.setdefault(owner.get(c[0], big), ([], []))[side].append(c)
-            pending += ((kid, *parts[kid]) for kid in reversed(kids) if kid in parts)
-        # two distinct sets with one multiset do not fit in a leaf, so
-        # this is a join node
-        elif len(ca) == 1:
-            steps = _one_component_states(g, node, frozenset(ca[0]), frozenset(cb[0]), variant)
-            jumps += zip(steps, steps[1:])
-        else:
-            home = _co_part_of(node, frozenset().union(*ca))
-            if home is not _co_part_of(node, frozenset().union(*cb)):
+        if len(ca) > 1:
+            i = _lowest(ct, [c[0] for c in (*ca, *cb)])
+            if nodes[i].kind == "join":
                 return Result(variant, False, reason="co-component-mismatch")
-            pending.append((home, ca, cb))
+        elif nodes[i].kind == "join":
+            # two distinct sets with one multiset do not fit in a leaf
+            jumps += _one_component_moves(g, ct, i, ca[0], cb[0], variant)
+            continue
+        big, owner = _parts(ct, i)
+        parts: dict[int, tuple[list, list]] = {}
+        for side, comps in enumerate((ca, cb)):
+            for c in comps:
+                parts.setdefault(owner.get(c[0], big), ([], []))[side].append(c)
+        pending += ((kid, *parts[kid]) for kid in reversed(kids[i]) if kid in parts)
     return Result(variant, True, _replay_jumps(va, jumps))

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: invalid input and wrong graph class
-exit with 3, an oversized state space with 4.
+exit with 3, an oversized state space or reconfiguration graph with 4.
 """
 
 
@@ -31,6 +31,14 @@ class StateSpaceTooLargeError(ReconfigError):
     def __init__(self, cap: int):
         super().__init__(f"state space exceeds cap of {cap} states")
         self.cap = cap
+
+
+class ReconfigGraphTooLargeError(ReconfigError):
+    """A reconfiguration graph grew past the edge limit of an export."""
+
+    def __init__(self, limit: int):
+        super().__init__(f"reconfiguration graph exceeds the limit of {limit} edges")
+        self.limit = limit
 
 
 class InternalContradictionError(ReconfigError, RuntimeError):

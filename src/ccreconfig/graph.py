@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable
 from .errors import InvalidInstanceError, WrongGraphClassError
 
 if TYPE_CHECKING:
-    from .cographs import CotreeNode
+    from .cographs import Cotree, CotreeNode
     from .oracle import StateSpace
 
 __all__ = [
@@ -116,11 +116,18 @@ class Graph:
             return None
 
     @cached_property
-    def cotree(self) -> CotreeNode | None:
-        """Cotree of the graph, or None when it is not a cograph."""
+    def _cotree(self) -> Cotree | None:
+        """The cotree with its nodes numbered, or None when the graph is
+        not a cograph."""
         from .cographs import _build_cotree
 
         return _build_cotree(self)
+
+    @property
+    def cotree(self) -> CotreeNode | None:
+        """Cotree of the graph, or None when it is not a cograph."""
+        numbered = self._cotree
+        return None if numbered is None else numbered.nodes[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -20,12 +20,17 @@ from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator
 
-from .errors import InternalContradictionError, StateSpaceTooLargeError
+from .errors import (
+    InternalContradictionError,
+    ReconfigGraphTooLargeError,
+    StateSpaceTooLargeError,
+)
 from .graph import Graph, SizeMultiset, _clean_subset, cc_multiset
 from .rules import Result, Rule
 
 __all__ = [
     "DEFAULT_STATE_CAP",
+    "MAX_EXPORT_EDGES",
     "StateSpace",
     "enumerate_states",
     "oracle_solve",
@@ -37,6 +42,12 @@ __all__ = [
 ]
 
 DEFAULT_STATE_CAP = 2_000_000
+
+# Most edges build_reconfig_graph lists.  Listing the edges and writing
+# their DOT text peaks at 230-260 bytes per edge under tracemalloc (path
+# hosts of 32-36 vertices, 57 540-764 340 edges), so about 250 MB at this
+# limit beside the state space.
+MAX_EXPORT_EDGES = 1_000_000
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -221,8 +232,12 @@ def enumerate_states(
     )
 
 
-def neighbors(space: StateSpace, i: int, rule: Rule) -> list[int]:
+def neighbors(space: StateSpace, i: int, rule: Rule | str) -> list[int]:
     """Indices of states one move away from state i, ascending."""
+    return _neighbors(space, i, Rule.parse(rule))
+
+
+def _neighbors(space: StateSpace, i: int, rule: Rule) -> list[int]:
     u = space.states[i]
     index = space.index
     out: set[int | None] = set()
@@ -275,12 +290,13 @@ def _graph_space(g: Graph, multiset: SizeMultiset, state_cap: int) -> StateSpace
 def _search(space: StateSpace, src: int, rule: Rule) -> Iterator[tuple[int, int]]:
     """Breadth-first search from state src: every other state it reaches,
     with the state it was first reached from, in discovery order.  Moves
-    are reversible, so the states reached are src's whole class."""
+    are reversible, so the states reached are src's whole class.  The
+    rule is a Rule: callers parse it once."""
     seen = {src}
     queue = deque((src,))
     while queue:
         cur = queue.popleft()
-        for j in neighbors(space, cur, rule):
+        for j in _neighbors(space, cur, rule):
             if j not in seen:
                 seen.add(j)
                 queue.append(j)
@@ -291,7 +307,7 @@ def oracle_solve(
     g: Graph,
     a: Iterable[int],
     b: Iterable[int],
-    rule: Rule,
+    rule: Rule | str,
     *,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> Result:
@@ -302,6 +318,7 @@ def oracle_solve(
     multiset and bounded by state_cap: a later call for the same
     multiset reuses it, and raises StateSpaceTooLargeError when it holds
     more than that call's state_cap states."""
+    rule = Rule.parse(rule)
     va, vb = _clean_subset(g, a), _clean_subset(g, b)
     ma = cc_multiset(g, va)
     if ma != cc_multiset(g, vb):
@@ -341,15 +358,21 @@ class ReconfigGraph:
 def build_reconfig_graph(
     g: Graph,
     multiset: SizeMultiset | Iterable[int],
-    rule: Rule,
+    rule: Rule | str,
     *,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> ReconfigGraph:
+    """The reconfiguration graph of the state space.  Raises
+    ReconfigGraphTooLargeError as soon as it holds more than MAX_EXPORT_EDGES
+    edges."""
+    rule = Rule.parse(rule)
     space = _graph_space(g, SizeMultiset(multiset), state_cap)
-    edges = tuple(
-        (i, j) for i in range(len(space)) for j in neighbors(space, i, rule) if j > i
-    )
-    return ReconfigGraph(space, rule, edges)
+    edges: list[tuple[int, int]] = []
+    for i in range(len(space)):
+        edges += [(i, j) for j in _neighbors(space, i, rule) if j > i]
+        if len(edges) > MAX_EXPORT_EDGES:
+            raise ReconfigGraphTooLargeError(MAX_EXPORT_EDGES)
+    return ReconfigGraph(space, rule, tuple(edges))
 
 
 def export_dot(rg: ReconfigGraph) -> str:
@@ -367,9 +390,10 @@ def export_dot(rg: ReconfigGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reachability_partition(space: StateSpace, rule: Rule) -> list[int]:
+def reachability_partition(space: StateSpace, rule: Rule | str) -> list[int]:
     """Connected-component label per state of the reconfiguration graph;
     labels are the smallest state index in each class."""
+    rule = Rule.parse(rule)
     labels = [-1] * len(space)
     for start in range(len(space)):
         if labels[start] == -1:
@@ -379,8 +403,9 @@ def reachability_partition(space: StateSpace, rule: Rule) -> list[int]:
     return labels
 
 
-def bfs_distances(space: StateSpace, src: int, rule: Rule) -> list[int | None]:
+def bfs_distances(space: StateSpace, src: int, rule: Rule | str) -> list[int | None]:
     """Move counts from one state to every state, None when unreachable."""
+    rule = Rule.parse(rule)
     dist: list[int | None] = [None] * len(space)
     dist[src] = 0
     for j, p in _search(space, src, rule):

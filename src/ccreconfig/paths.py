@@ -241,11 +241,12 @@ def _solve_cj(
 
 
 def expand_moves(
-    g: Graph, a: Iterable[int], moves: Iterable[CompressedMove], rule: Rule
+    g: Graph, a: Iterable[int], moves: Iterable[CompressedMove], rule: Rule | str
 ) -> Result:
     """Replay compressed moves into the full state sequence (vertex ids,
     not positions), returned with the moves.  Each move is checked on a
     position occupancy in O(size), then replayed as a vertex jump."""
+    rule = Rule.parse(rule)
     moves = tuple(moves)
     order = path_order(g)
     va = _clean_subset(g, a)

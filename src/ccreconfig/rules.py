@@ -50,6 +50,9 @@ class Rule(str, Enum):
 
     @classmethod
     def parse(cls, name: str) -> "Rule":
+        """The rule a name stands for, in any case; a Rule is itself.
+        Every public call that takes a rule reads it through here once,
+        as the solvers test rules by identity."""
         if not isinstance(name, str):
             raise InvalidInstanceError(f"rule must be a string, got {type(name).__name__}")
         try:
@@ -83,8 +86,9 @@ def _one_move(g: Graph, u: set[int], w: set[int], rule: Rule) -> bool:
     return rule is Rule.CJ or _touch(g, c, c2)
 
 
-def adjacent(g: Graph, u: Iterable[int], w: Iterable[int], rule: Rule) -> bool:
+def adjacent(g: Graph, u: Iterable[int], w: Iterable[int], rule: Rule | str) -> bool:
     """One-move adjacency between two subsets under the given rule."""
+    rule = Rule.parse(rule)
     return _one_move(g, set(_clean_subset(g, u)), set(_clean_subset(g, w)), rule)
 
 
@@ -136,7 +140,7 @@ def verify_sequence(
     g: Graph,
     states: Sequence[Iterable[int]],
     multiset: SizeMultiset | Iterable[int] | None = None,
-    rule: Rule = Rule.TJ,
+    rule: Rule | str = Rule.TJ,
 ) -> VerifyResult:
     """Check a full state sequence: every state must have the required
     component-size multiset and consecutive states must be one move
@@ -154,6 +158,7 @@ def verify_sequence(
     own index; an adjacency violation is reported at the index of the
     first state of the offending pair.
     """
+    rule = Rule.parse(rule)
     states = [_clean_subset(g, s) for s in states]
     if not states:
         raise InvalidInstanceError("cannot verify an empty sequence")

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccreconfig
-from ccreconfig import Graph, Rule, cc_multiset, cli, verify_sequence
+from ccreconfig import Graph, Rule, cc_multiset, cli, cographs, solve_cograph_cs, verify_sequence
 from ccreconfig.cli import main
 from ccreconfig.generators import gen_chordal_instance, gen_cograph_instance, gen_path_instance
 from ccreconfig.graph import MAX_VERTICES
@@ -371,6 +371,23 @@ def test_export_over_the_cap_still_prints_the_answer(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "cap" in json.loads(err)["error"]
 
 
+def test_export_stops_at_the_edge_limit(tmp_path, capsys):
+    # 930 240 states with about 13 moves each to later states: listing
+    # them all took minutes and gigabytes
+    _, inst, _ = run(capsys, ["gen", "--kind", "path", "--n", "60", "--seed", "1"])
+    path = write(tmp_path, "i.json", inst)
+    dot = tmp_path / "space.dot"
+    child = subprocess.run(
+        [sys.executable, "-m", "ccreconfig.cli", "solve", path, "--export-dot", str(dot)],
+        env=child_env(), capture_output=True, text=True, timeout=20,
+    )
+    assert child.returncode == 4 and json.loads(child.stdout)["answer"] == "no"
+    (line,) = child.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error.startswith(f"--export-dot {dot}: ") and "1000000 edges" in error
+    assert not dot.exists()
+
+
 def test_oracle_grows_a_component_longer_than_the_recursion_limit(tmp_path, capsys):
     # one 1 100-vertex component, grown a vertex at a time
     n = 1200
@@ -703,6 +720,19 @@ def test_deep_cotree_solve(tmp_path, capsys, deep_graph, rule, walk):
     states = report["states"]
     assert states[0] == walk[0] and states[-1] == walk[-1]
     assert verify_sequence(g, states, rule=Rule(rule))
+
+
+@pytest.mark.parametrize("rule", [Rule.CS, Rule.CS1])
+def test_deep_walk_looks_up_a_node_per_split(monkeypatch, deep_graph, rule):
+    # the lists jump past the idle levels to the nodes where they split
+    g, _ = deep_graph
+    lookups = []
+    parts = cographs._parts
+    monkeypatch.setattr(cographs, "_parts", lambda ct, i: lookups.append(i) or parts(ct, i))
+    walk = DEEP_WALKS["four-components"]
+    res = solve_cograph_cs(g, walk[0], walk[-1], variant=rule)
+    assert res.states == tuple(map(tuple, walk))
+    assert len(lookups) <= 2 * len(walk[0])  # components of A and of B
 
 
 @pytest.mark.parametrize(

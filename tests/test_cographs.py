@@ -123,6 +123,43 @@ def test_components_are_found_once_per_solve(monkeypatch, variant):
     assert res.reachable and verify_sequence(g, res.states, rule=variant)
 
 
+def _connected_set(rng, g, size):
+    """A random connected set of the given size, grown from a random vertex."""
+    got = [rng.randrange(g.n)]
+    while len(got) < size:
+        near = sorted(set().union(*(g.adj[v] for v in got)).difference(got))
+        got.append(rng.choice(near))
+    return sorted(got)
+
+
+@pytest.mark.parametrize("host", ["threshold", "cotree"])
+def test_cs1_exchanges_search_nothing(monkeypatch, host):
+    if host == "threshold":
+        g = threshold_graph(1600)  # one cotree level per vertex
+    else:
+        g = random_cotree_graph(random.Random(20250512), 1000)
+    rng = random.Random(8)
+    searches = []
+    search = graph._component
+
+    def counted(g, inside, s, seen):
+        searches.append(s)
+        return search(g, inside, s, seen)
+
+    monkeypatch.setattr(graph, "_component", counted)
+    monkeypatch.setattr(cographs, "_component", counted, raising=False)
+    for size in (2, 5, 12, 30, 30, 60):
+        a, b = _connected_set(rng, g, size), _connected_set(rng, g, size)
+        searches.clear()
+        res = solve_cograph_cs(g, a, b, variant=Rule.CS1)
+        # one search for A's component and one for B's, none per exchange
+        assert len(searches) == 2
+        assert res.states[0] == tuple(a) and res.states[-1] == tuple(b)
+        assert res.distance - len(set(a) - set(b)) in (0, 1)
+    monkeypatch.undo()
+    assert verify_sequence(g, res.states, rule=Rule.CS1)
+
+
 def test_one_component_cs1_distances():
     assert solve_cograph_cs(complete_graph(4), [0, 1], [2, 3], variant=Rule.CS1).distance == 2
     assert solve_cograph_cs(PINNED, [0, 1], [2, 3], variant=Rule.CS1).distance == 3

@@ -16,6 +16,14 @@ from ccreconfig import (
     solve_path_cs,
 )
 from ccreconfig.errors import InvalidInstanceError
+from ccreconfig.oracle import (
+    bfs_distances,
+    build_reconfig_graph,
+    enumerate_states,
+    neighbors,
+    reachability_partition,
+)
+from ccreconfig.paths import CompressedMove
 from ccreconfig.graph import (
     cc_multiset,
     path_graph,
@@ -217,3 +225,39 @@ def test_every_entry_point_returns_a_result():
         assert res.answer == answers[res.reachable]
         assert res.jumps is res.moves
     assert {res.answer for res in results} == {"yes", "no", "unknown"}
+
+
+def test_every_entry_point_reads_a_rule_name_as_the_rule():
+    # the solvers test rules by identity, and "CJ" only equals Rule.CJ
+    p6 = path_graph(6)
+    assert verify_sequence(p6, [(0,), (5,)], rule="CJ")
+    assert oracle_solve(p6, [0], [5], "CJ").distance == 1
+    space = enumerate_states(p6, [2])
+    start = space.index[0b11]  # {0, 1}
+    calls = {
+        "adjacent": lambda r: adjacent(p6, [0, 2], [0, 5], r),
+        "verify_sequence": lambda r: verify_sequence(p6, [(0, 2), (0, 5)], rule=r),
+        "oracle_solve": lambda r: oracle_solve(p6, [0, 2], [3, 5], r),
+        "bfs_distances": lambda r: bfs_distances(space, start, r),
+        "reachability_partition": lambda r: reachability_partition(space, r),
+        "neighbors": lambda r: neighbors(space, start, r),
+        "build_reconfig_graph": lambda r: build_reconfig_graph(p6, [2], r).edges,
+        "expand_moves": lambda r: expand_moves(p6, [0], [CompressedMove(1, 0, 5)], r),
+    }
+    for rule in Rule:
+        for name, call in calls.items():
+            want = call(rule)
+            for given in (rule.value, rule.value.lower()):
+                got = call(given)
+                assert got == want, (name, given)
+                if isinstance(got, Result):
+                    assert got.rule is rule, (name, given)
+            with pytest.raises(InvalidInstanceError):
+                call(rule.value + "X")
+    k4 = complete_graph(4)
+    for variant in (Rule.CS, Rule.CS1):
+        res = solve_cograph_cs(k4, [0, 1], [2, 3], variant=variant.value)
+        assert res == solve_cograph_cs(k4, [0, 1], [2, 3], variant=variant)
+        assert res.rule is variant and res.distance == (1 if variant is Rule.CS else 2)
+    with pytest.raises(InvalidInstanceError):
+        solve_cograph_cs(k4, [0, 1], [2, 3], variant="XX")
