@@ -23,7 +23,7 @@ from .chordal import (
     solve_equal_size_cj,
 )
 from .cographs import (
-    CotreeNode,
+    Cotree,
     decompose_cograph,
     is_cograph,
     solve_cograph_cs,

@@ -36,7 +36,9 @@ from .graph import (
     cc_multiset,
     parse_graph,
 )
-from .oracle import DEFAULT_STATE_CAP, build_reconfig_graph, export_dot, oracle_solve
+from .oracle import (
+    DEFAULT_STATE_CAP, WORK_PER_STATE, build_reconfig_graph, export_dot, oracle_solve,
+)
 from .paths import (
     CompressedMove,
     _path_runs,
@@ -106,7 +108,7 @@ def _load_instance(path: str, rule_flag: str | None):
         raise InvalidInstanceError('instance needs "A" and "B" vertex lists')
     a = _clean_subset(g, _int_list(obj["A"], '"A"'))
     b = _clean_subset(g, _int_list(obj["B"], '"B"'))
-    rule_name = rule_flag or obj.get("rule")
+    rule_name = obj.get("rule") if rule_flag is None else rule_flag
     if not rule_name:
         raise InvalidInstanceError('no rule: set "rule" in the instance or pass --rule')
     rule = Rule.parse(rule_name)
@@ -318,17 +320,17 @@ def _jump(mv: Any) -> tuple[list[int], list[int]]:
 
 
 def _cmd_verify(args) -> int:
-    g, a, b, rule, ma, mb, _ = _load_instance(args.instance, args.rule)
     seq = _read_json(args.sequence)
-    if isinstance(seq, dict) and args.rule is None and "rule" in seq:
-        rule = Rule.parse(seq["rule"])
+    # the rule comes from --rule, else the report, else the instance
+    named = seq.get("rule") if isinstance(seq, dict) and args.rule is None else args.rule
+    g, a, b, rule, ma, mb, _ = _load_instance(args.instance, named)
     if isinstance(seq, dict) and "states" in seq:
         states = _state_list(seq["states"])
     elif isinstance(seq, dict) and "moves" in seq:
         moves = seq["moves"]
         if type(moves) is not list:
             raise InvalidInstanceError('"moves" must be a list')
-        if all(isinstance(mv, dict) for mv in moves):
+        if moves and all(isinstance(mv, dict) for mv in moves):
             moves = [CompressedMove.from_json(mv) for mv in moves]
             states = expand_moves(g, a, moves, rule).states
         else:
@@ -379,7 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--state-cap",
             type=_state_cap,
             default=DEFAULT_STATE_CAP,
-            help="abort exhaustive search beyond this many states",
+            help="abort exhaustive search beyond this many states, or beyond "
+            f"{WORK_PER_STATE} x (cap + 1) search frames",
         )
         p.add_argument("--export-dot", metavar="FILE", help="write the move graph")
 

@@ -19,8 +19,8 @@ solver reads connectivity off the cotree instead of searching G.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -38,37 +38,32 @@ from .graph import (
 from .rules import Result, Rule
 
 __all__ = [
-    "CotreeNode",
+    "Cotree",
     "decompose_cograph",
     "is_cograph",
     "solve_cograph_cs",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class CotreeNode:
-    """Node of the recursive decomposition: a single vertex, a split
-    into connected parts, or a split into co-components.  Nodes compare
-    and hash by identity, and the repr only counts the children, so none
-    of the three recurses down a deep cotree."""
-
-    kind: str  # "leaf" | "union" | "join"
-    vertices: tuple[int, ...]
-    children: tuple["CotreeNode", ...] = ()
-
-    def __repr__(self) -> str:
-        return f"CotreeNode({self.kind!r}, {self.vertices}, {len(self.children)} children)"
-
-
 class Cotree(NamedTuple):
-    """A cotree with its nodes numbered in preorder, children in order:
-    node 0 is the root, nodes[i] is node i, up[i] its parent (-1 at the
-    root), kids[i] its children, and leaf[v] numbers vertex v's leaf."""
+    """A cotree, nodes numbered in preorder with children in order of
+    their lowest vertex: the nodes below node i are numbered from i up
+    to its next sibling.  Node i has kind[i] ("leaf", "union" or "join"),
+    children kids[i], parent up[i] (-1 at the root, node 0) and lowest
+    vertex low[i] (-1 for an empty graph); vertex v has leaf node
+    leaf[v].  A Cotree stands for the subtree at `root`, and `children`
+    gives its child subtrees as Cotrees over the same arrays."""
 
-    nodes: list[CotreeNode]
-    up: list[int]
+    kind: list[str]
     kids: list[tuple[int, ...]]
+    up: list[int]
+    low: list[int]
     leaf: list[int]
+    root: int = 0
+
+    @property
+    def children(self) -> list[Cotree]:
+        return [self._replace(root=c) for c in self.kids[self.root]]
 
 
 def _build_cotree(g: Graph) -> Cotree | None:
@@ -86,7 +81,7 @@ def _build_cotree(g: Graph) -> Cotree | None:
     """
     n = g.n
     if n == 0:
-        return Cotree([CotreeNode("union", ())], [-1], [()], [])
+        return Cotree(["union"], [()], [-1], [-1], [])
     # nodes 0..n-1 are the leaves, node n sits above the root, inner
     # nodes are numbered from n + 1 on
     top = n
@@ -168,54 +163,45 @@ def _build_cotree(g: Graph) -> Cotree | None:
             grouped = splice(kids[0], "union", kids)
             splice(grouped, "join", (grouped, x))
 
-    # Handing each vertex, in increasing order, to all its ancestors
-    # gives sorted vertex tuples, and children ordered by lowest vertex
-    # when a node is listed under its parent on its first visit.  The
-    # total work is the sum of the node sizes, O(n + m) on a cograph.
-    members: dict[int, list[int]] = {w: [] for w in children}
+    # Each vertex, in increasing order, climbs until it meets a node that
+    # an earlier vertex reached: a node gets its lowest vertex, and is
+    # listed under its parent, on its first visit, so children come in
+    # order of their lowest vertex.  Each node is climbed through once.
+    low = list(range(n)) + [-1] * (len(kind) - n)
     ordered: dict[int, list[int]] = {w: [] for w in children}
     for v in range(n):
-        w = parent[v]
-        ordered[w].append(v)
-        while w != top:
-            got = members[w]
-            if not got:
-                ordered[parent[w]].append(w)
-            got.append(v)
-            w = parent[w]
-    order, stack, rank = [], ordered[top], [0] * len(kind)
+        w, p = v, parent[v]
+        ordered[p].append(v)
+        while p != top and low[p] < 0:
+            low[p] = v
+            w, p = p, parent[p]
+            ordered[p].append(w)
+    order, stack, rank = [], ordered[top], [-1] * len(kind)
     while stack:  # preorder, children in order
         w = stack.pop()
         rank[w] = len(order)
         order.append(w)
         stack += reversed(ordered.get(w, ()))
-    nodes: list[CotreeNode] = [None] * len(order)  # type: ignore[list-item]
     kids = [tuple(rank[c] for c in ordered.get(w, ())) for w in order]
-    for i in reversed(range(len(order))):
-        w = order[i]
-        nodes[i] = CotreeNode("leaf", (w,)) if w < n else CotreeNode(
-            kind[w], tuple(members[w]), tuple(nodes[c] for c in kids[i]))
-    up = [rank[parent[w]] for w in order]
-    up[0] = -1
-    return Cotree(nodes, up, kids, rank[:n])
+    up = [rank[parent[w]] for w in order]  # the root's parent, top, is unnumbered
+    return Cotree([kind[w] for w in order], kids, up, [low[w] for w in order], rank[:n])
 
 
-def decompose_cograph(g: Graph) -> CotreeNode | None:
+def decompose_cograph(g: Graph) -> Cotree | None:
     """Cotree of g, or None if g is not a cograph.  Built on first use
     and cached on the graph."""
-    return g.cotree
+    return g._cotree
 
 
 def is_cograph(g: Graph) -> bool:
     return decompose_cograph(g) is not None
 
 
-def _parts(ct: Cotree, i: int) -> tuple[int, dict[int, int]]:
-    """Node i's largest child, and every vertex of its other children
-    mapped to its child: a lookup that never copies the largest part."""
-    nodes, kids = ct.nodes, ct.kids[i]
-    big = max(kids, key=lambda c: len(nodes[c].vertices))
-    return big, {v: c for c in kids if c != big for v in nodes[c].vertices}
+def _child(ct: Cotree, i: int, v: int) -> int:
+    """The child of node i that holds vertex v, a vertex below i: the
+    last child numbered at most v's leaf."""
+    kids = ct.kids[i]
+    return kids[bisect_right(kids, ct.leaf[v]) - 1]
 
 
 def _lowest(ct: Cotree, vertices: Iterable[int]) -> int:
@@ -245,9 +231,8 @@ def _one_component_moves(
     cur, goal = set(x), set(y)
     moves: list[tuple[Iterable[int], Iterable[int]]] = []
     if not _touch(g, cur, y):
-        big, owner = _parts(ct, j)
-        home = owner.get(x[0], big)
-        z = min(ct.nodes[c].vertices[0] for c in ct.kids[j] if c != home)
+        home = _child(ct, j, x[0])
+        z = ct.low[next(c for c in ct.kids[j] if c != home)]
         out = min(cur - goal)
         moves.append(((out,), (z,)))
         cur.remove(out)
@@ -259,17 +244,16 @@ def _one_component_moves(
         # cur | y is connected, so its lowest node j is a join; count cur
         # per co-component of j until cur | y fits in one of them
         j = _lowest(ct, cur | goal)
-        big, owner = _parts(ct, j)
-        held = Counter(owner.get(v, big) for v in cur)
-        homes = {owner.get(v, big) for v in goal}
+        held = Counter(_child(ct, j, v) for v in cur)
+        homes = {_child(ct, j, v) for v in goal}
         home = homes.pop() if len(homes) == 1 else None  # y's one co-component
 
         def admissible(out: int, came: int) -> bool:
-            po, pc = owner.get(out, big), owner.get(came, big)
+            po, pc = _child(ct, j, out), _child(ct, j, came)
             # co-components of j that the candidate meets
             meets = len(held) - (held[po] == 1) + (held[pc] == (pc == po))
             return (len(cur) == 1 or meets > 1
-                    or ct.nodes[_lowest(ct, (cur - {out}) | {came})].kind == "join")
+                    or ct.kind[_lowest(ct, (cur - {out}) | {came})] == "join")
 
         while outs and held[home] < len(cur):
             pair = next(((o, c) for o in outs for c in cames if admissible(o, c)), None)
@@ -281,11 +265,11 @@ def _one_component_moves(
             cur.add(came)
             outs.remove(out)
             cames.remove(came)
-            po = owner.get(out, big)
+            po = _child(ct, j, out)
             held[po] -= 1
             if not held[po]:
                 del held[po]
-            held[owner.get(came, big)] += 1
+            held[_child(ct, j, came)] += 1
     return moves
 
 
@@ -315,8 +299,8 @@ def solve_cograph_cs(
     # on a side skip the idle levels to the lowest node holding them all
     # (their first vertices suffice: a component reaching outside that
     # node spans two co-components of a join above it, so it touches the
-    # others).  A union node hands
-    # each component to the child that holds its first vertex; a join
+    # others).  A union node hands each component to the child that
+    # holds its first vertex (one bisect over its children); a join
     # there holds A in one co-component and B in another.  A single
     # component moves at the first join.  Parts not reached yet still
     # hold A and finished parts hold B, so each move changes the current
@@ -324,7 +308,6 @@ def solve_cograph_cs(
     # lowest vertex, and a split keeps that order: two lists hold the
     # same components iff they are equal, and the same sizes iff their
     # lengths are.  For the cost of a visit, see the README.
-    nodes, kids = ct.nodes, ct.kids
     jumps: list[tuple[Iterable[int], Iterable[int]]] = []
     pending = [(0, *(sorted(connected_components(g, x), key=len) for x in (va, b)))]
     while pending:
@@ -335,16 +318,15 @@ def solve_cograph_cs(
             return Result(variant, False, reason="multiset-mismatch")
         if len(ca) > 1:
             i = _lowest(ct, [c[0] for c in (*ca, *cb)])
-            if nodes[i].kind == "join":
+            if ct.kind[i] == "join":
                 return Result(variant, False, reason="co-component-mismatch")
-        elif nodes[i].kind == "join":
+        elif ct.kind[i] == "join":
             # two distinct sets with one multiset do not fit in a leaf
             jumps += _one_component_moves(g, ct, i, ca[0], cb[0], variant)
             continue
-        big, owner = _parts(ct, i)
         parts: dict[int, tuple[list, list]] = {}
         for side, comps in enumerate((ca, cb)):
             for c in comps:
-                parts.setdefault(owner.get(c[0], big), ([], []))[side].append(c)
-        pending += ((kid, *parts[kid]) for kid in reversed(kids[i]) if kid in parts)
+                parts.setdefault(_child(ct, i, c[0]), ([], []))[side].append(c)
+        pending += ((kid, *parts[kid]) for kid in sorted(parts, reverse=True))
     return Result(variant, True, _replay_jumps(va, jumps))

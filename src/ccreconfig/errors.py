@@ -26,10 +26,12 @@ class NotACographError(WrongGraphClassError):
 
 
 class StateSpaceTooLargeError(ReconfigError):
-    """State enumeration exceeded the configured cap."""
+    """State enumeration exceeded the configured cap, or the work bound it sets."""
 
-    def __init__(self, cap: int):
-        super().__init__(f"state space exceeds cap of {cap} states")
+    def __init__(self, cap: int, work: int = 0):
+        super().__init__(
+            f"state search exceeds {work} frames, the work bound for a cap of {cap} states"
+            if work else f"state space exceeds cap of {cap} states")
         self.cap = cap
 
 

@@ -194,16 +194,14 @@ def _grow_component(
     """Random connected set of `size` free vertices around `start`, or
     None when the free territory of `start` is smaller than that."""
     comp = {start}
-    # draws index neighbours in frozenset order, as seeded instances always
-    # have: an adjacency set grown edge by edge may iterate in another order
-    frontier = [u for u in frozenset(g.adj[start]) if u not in blocked]
+    frontier = [u for u in sorted(g.adj[start]) if u not in blocked]
     while len(comp) < size:
         frontier = [u for u in frontier if u not in comp and u not in blocked]
         if not frontier:
             return None
         pick = rng.choice(frontier)
         comp.add(pick)
-        frontier.extend(frozenset(g.adj[pick]))
+        frontier.extend(sorted(g.adj[pick]))
     return comp
 
 

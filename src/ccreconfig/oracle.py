@@ -43,6 +43,11 @@ __all__ = [
 
 DEFAULT_STATE_CAP = 2_000_000
 
+# Search frames enumerate_states may push per state of its cap, plus one:
+# its walks can outgrow the states they find by far (whether a placement
+# completes is NP-hard to decide).
+WORK_PER_STATE = 64
+
 # Most edges build_reconfig_graph lists.  Listing the edges and writing
 # their DOT text peaks at 230-260 bytes per edge under tracemalloc (path
 # hosts of 32-36 vertices, 57 540-764 340 edges), so about 250 MB at this
@@ -103,8 +108,13 @@ def connected_k_subsets(g: Graph, k: int) -> list[int]:
     once: grow only with vertices above the root, and never re-offer a
     candidate that an earlier branch already consumed.
     """
+    return _connected_subsets(g, k, float("inf"))[0]
+
+
+def _connected_subsets(g: Graph, k: int, budget: float) -> tuple[list[int], float]:
+    """connected_k_subsets, and the budget left after its pushes (< 0: cut short)."""
     if k < 1 or k > g.n:
-        return []
+        return [], budget
     adj = tuple(map(mask_of, g.adj))
     full = (1 << g.n) - 1
     out: list[int] = []
@@ -118,6 +128,9 @@ def connected_k_subsets(g: Graph, k: int) -> list[int]:
             if need == 0:
                 out.append(sub)
                 continue
+            budget -= ext.bit_count()  # one frame per candidate
+            if budget < 0:
+                return out, budget
             while ext:
                 wbit = ext & -ext
                 ext ^= wbit
@@ -125,7 +138,7 @@ def connected_k_subsets(g: Graph, k: int) -> list[int]:
                 grown = ext | nbrs & above & ~closed
                 stack.append((sub | wbit, grown, closed | wbit | nbrs, need - 1))
     out.sort(key=_canonical, reverse=True)
-    return out
+    return out, budget
 
 
 def _canonical(mask: int) -> str:
@@ -177,15 +190,20 @@ def enumerate_states(
     order, so each state is produced once.  Each placement keeps the pool
     entries that miss the closed neighbourhoods placed so far, and is cut
     when fewer are left than components of that size remain to place; at
-    the last component every entry left completes a state.
+    the last component every entry left completes a state.  Past state_cap
+    states, or WORK_PER_STATE * (state_cap + 1) frames of all walks, it raises.
     """
     target = SizeMultiset(multiset)
     sizes_desc = sorted(Counter(target).items(), reverse=True)
     adj = tuple(map(mask_of, g.adj))
-    pools = {
-        size: [(cmask, _closed_neighborhood(adj, cmask)) for cmask in connected_k_subsets(g, size)]
-        for size, _ in sizes_desc
-    }
+    work = WORK_PER_STATE * (state_cap + 1)
+    overrun = StateSpaceTooLargeError(state_cap, work)
+    pools = {}
+    for size, _ in sizes_desc:
+        masks, work = _connected_subsets(g, size, work)
+        if work < 0:
+            raise overrun
+        pools[size] = [(cmask, _closed_neighborhood(adj, cmask)) for cmask in masks]
     # per component to place: its size, and how many components of that
     # size are still to place, itself included; first comes the empty
     # placement the walk starts from, of size 0
@@ -220,6 +238,9 @@ def enumerate_states(
             if len(found) > state_cap:
                 raise StateSpaceTooLargeError(state_cap)
         else:
+            work -= 1
+            if work < 0:
+                raise overrun
             frames.append((nxt, iter(range(len(nxt) - need + 1)), forbidden | closed, acc))
     found.sort(key=_canonical, reverse=True)
     index = {mask: i for i, mask in enumerate(found)}

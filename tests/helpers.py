@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import NamedTuple
 
-from ccreconfig.cographs import CotreeNode
+from ccreconfig.cographs import Cotree
 from ccreconfig.graph import Graph, co_components, connected_components
 
 
@@ -149,15 +150,21 @@ def has_induced_p4(g: Graph) -> bool:
     return False
 
 
-def naive_cotree(g: Graph) -> CotreeNode | None:
+class Node(NamedTuple):
+    kind: str  # "leaf" | "union" | "join"
+    vertices: tuple[int, ...]
+    children: tuple["Node", ...] = ()
+
+
+def naive_cotree(g: Graph) -> Node | None:
     """Cotree by splitting every region afresh into its components or,
     when connected, its co-components; None if some region with two or
     more vertices splits neither way.  Recursive, O(depth * m): the
     reference the linear build is compared against."""
 
-    def build(region: tuple[int, ...]) -> CotreeNode | None:
+    def build(region: tuple[int, ...]) -> Node | None:
         if len(region) == 1:
-            return CotreeNode("leaf", region)
+            return Node("leaf", region)
         parts = connected_components(g, region)
         kind = "union"
         if len(parts) == 1:
@@ -171,8 +178,19 @@ def naive_cotree(g: Graph) -> CotreeNode | None:
             if child is None:
                 return None
             children.append(child)
-        return CotreeNode(kind, region, tuple(children))
+        return Node(kind, region, tuple(children))
 
     if g.n == 0:
-        return CotreeNode("union", ())
+        return Node("union", ())
     return build(tuple(range(g.n)))
+
+
+def cotree_vertices(ct: Cotree) -> list[tuple[int, ...]]:
+    """Each node's vertices, read off the leaves numbered in its range:
+    node i and the size[i] - 1 nodes after it.  No recursion."""
+    vertex = {i: v for v, i in enumerate(ct.leaf)}
+    size = [1] * len(ct.kind)
+    for i in reversed(range(len(ct.kind))):
+        size[i] += sum(size[c] for c in ct.kids[i])
+    return [tuple(sorted(vertex[k] for k in range(i, i + size[i]) if k in vertex))
+            for i in range(len(ct.kind))]

@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import io
+import itertools
 import json
 import os
 import random
@@ -15,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccreconfig
-from ccreconfig import Graph, Rule, cc_multiset, cli, cographs, solve_cograph_cs, verify_sequence
+from ccreconfig import (
+    Graph, Rule, cc_multiset, cli, cographs, decompose_cograph, solve_cograph_cs, verify_sequence,
+)
 from ccreconfig.cli import main
 from ccreconfig.generators import gen_chordal_instance, gen_cograph_instance, gen_path_instance
 from ccreconfig.graph import MAX_VERTICES
 
-from helpers import random_graph, threshold_graph
+from helpers import cotree_vertices, random_graph, threshold_graph
 
 P7_CJ = {
     "graph": {"n": 7, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6]]},
@@ -231,6 +234,54 @@ def test_verify_compressed_and_endpoints(tmp_path, capsys):
     rep = write(tmp_path, "cut.json", report)
     code, outcome, _ = run(capsys, ["verify", inst, rep])
     assert code == 1 and outcome["condition"] == "endpoints"
+
+
+def test_every_yes_report_verifies(tmp_path, capsys):
+    """Seeded round trip: every yes report of solve, full or compressed,
+    under each rule and both algorithms, verifies.  On the first graph,
+    a triangle 0-1-2 with the path 2-3-4 attached, the jump solver needs
+    no jump and reports an empty move list."""
+    rng = random.Random(23)
+    graphs = [Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])]
+    graphs += [random_graph(rng, rng.randint(1, 7)) for _ in range(60)]
+    yes = 0
+    for g in graphs:
+        if g is graphs[0]:
+            a = b = [0, 4]
+        else:
+            a = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+            b = rng.choice([list(s) for s in itertools.combinations(range(g.n), len(a))
+                            if cc_multiset(g, s) == cc_multiset(g, a)])
+        for rule in Rule:
+            inst = write(tmp_path, "i.json", {"graph": {"n": g.n, "edges": g.edges},
+                                              "A": a, "B": b, "rule": rule.value})
+            for argv in ([], ["--compressed"], ["--algorithm", "oracle"],
+                         ["--algorithm", "oracle", "--compressed"]):
+                code, report, _ = run(capsys, ["solve", inst, *argv])
+                if code != 0:
+                    continue
+                yes += 1
+                code, outcome, err = run(capsys, ["verify", inst,
+                                                  write(tmp_path, "r.json", report)])
+                assert (code, err) == (0, ""), (g.edges, a, b, rule, argv, report)
+                length = report["stats"]["length"]
+                assert outcome == {"ok": True, "rule": rule.value, "length": length}
+    assert yes > 400
+
+
+def test_verify_takes_the_rule_from_the_report(tmp_path, capsys):
+    bare = {key: value for key, value in P7_CJ.items() if key != "rule"}
+    inst = write(tmp_path, "i.json", bare)
+    code, report, _ = run(capsys, ["solve", inst, "--rule", "CJ"])
+    assert code == 0 and report["rule"] == "CJ"
+    code, outcome, _ = run(capsys, ["verify", inst, write(tmp_path, "r.json", report)])
+    assert code == 0 and outcome == {"ok": True, "rule": "CJ", "length": 3}
+    # --rule still comes first, and a bare state list names no rule
+    code, outcome, _ = run(capsys, ["verify", inst, write(tmp_path, "r.json", report),
+                                    "--rule", "TJ"])
+    assert code == 1 and outcome["ok"] is False
+    code, _, err = run(capsys, ["verify", inst, write(tmp_path, "s.json", report["states"])])
+    assert code == 3 and "no rule" in json.loads(err)["error"]
 
 
 def test_verify_multiset_violation(tmp_path, capsys):
@@ -680,22 +731,25 @@ def deep_graph(tmp_path_factory):
 
 def test_deep_cotree_is_one_level_per_vertex(deep_graph):
     g, _ = deep_graph
-    node, levels = g.cotree, 0
-    while node.kind != "leaf":
-        assert node.kind == ("union" if levels % 2 else "join")
-        assert node.vertices == tuple(range(DEEP_N - levels))
-        node = node.children[0]  # the part holding vertex 0 lies deeper
+    ct = decompose_cograph(g)
+    vertices = cotree_vertices(ct)
+    i, levels = 0, 0
+    while ct.kind[i] != "leaf":
+        assert ct.kind[i] == ("union" if levels % 2 else "join")
+        assert vertices[i] == tuple(range(DEEP_N - levels))
+        i = ct.kids[i][0]  # the part holding vertex 0 lies deeper
         levels += 1
     assert levels == DEEP_N - 1
 
 
-def test_deep_cotree_repr_eq_hash(deep_graph):
+def test_deep_cotree_repr_and_eq(deep_graph):
     g, _ = deep_graph
-    root = g.cotree
-    assert repr(root).startswith("CotreeNode('join', (0, 1, 2,")
-    assert repr(root).endswith(", 2 children)")
-    assert root == root and root != threshold_graph(DEEP_N).cotree
-    assert len({root, root.children[0], root}) == 2
+    ct = decompose_cograph(g)
+    assert repr(ct).startswith("Cotree(kind=['join', 'union', ")
+    assert repr(ct).endswith(", root=0)")
+    assert ct == ct and ct == decompose_cograph(threshold_graph(DEEP_N))
+    assert ct != decompose_cograph(threshold_graph(DEEP_N - 1))
+    assert ct.children[0] != ct and ct.children[0].root == 1
 
 
 # Slide walks whose every move also exchanges a single vertex.  The
@@ -726,13 +780,13 @@ def test_deep_cotree_solve(tmp_path, capsys, deep_graph, rule, walk):
 def test_deep_walk_looks_up_a_node_per_split(monkeypatch, deep_graph, rule):
     # the lists jump past the idle levels to the nodes where they split
     g, _ = deep_graph
-    lookups = []
-    parts = cographs._parts
-    monkeypatch.setattr(cographs, "_parts", lambda ct, i: lookups.append(i) or parts(ct, i))
+    looked_up = set()
+    child = cographs._child
+    monkeypatch.setattr(cographs, "_child", lambda ct, i, v: looked_up.add(i) or child(ct, i, v))
     walk = DEEP_WALKS["four-components"]
     res = solve_cograph_cs(g, walk[0], walk[-1], variant=rule)
     assert res.states == tuple(map(tuple, walk))
-    assert len(lookups) <= 2 * len(walk[0])  # components of A and of B
+    assert 0 < len(looked_up) <= 2 * len(walk[0])  # components of A and of B
 
 
 @pytest.mark.parametrize(

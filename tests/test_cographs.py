@@ -23,7 +23,9 @@ from ccreconfig import cographs, graph
 from ccreconfig.generators import random_cotree_graph
 from ccreconfig.oracle import enumerate_states
 
-from helpers import all_graphs, has_induced_p4, naive_cotree, random_graph, threshold_graph
+from helpers import (
+    all_graphs, cotree_vertices, has_induced_p4, naive_cotree, random_graph, threshold_graph,
+)
 
 TWO_TRIANGLES = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
 # two disjoint edges joined to everything across, plus a fifth vertex
@@ -33,14 +35,18 @@ PINNED = Graph(5, [(0, 1), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
 
 def test_decompose_shapes():
     assert decompose_cograph(path_graph(4)) is None
-    root = decompose_cograph(path_graph(3))
-    assert root.kind == "join"
-    assert root.vertices == (0, 1, 2)
-    kinds = {child.vertices: child.kind for child in root.children}
-    assert kinds == {(0, 2): "union", (1,): "leaf"}
+    ct = decompose_cograph(path_graph(3))
+    # the join of leaf 1 and the union of leaves 0 and 2
+    assert ct.kind == ["join", "union", "leaf", "leaf", "leaf"]
+    assert ct.kids == [(1, 4), (2, 3), (), (), ()]
+    assert ct.up == [-1, 0, 1, 1, 0]
+    assert ct.low == [0, 0, 0, 2, 1]
+    assert ct.leaf == [2, 4, 3]
     k4 = decompose_cograph(complete_graph(4))
-    assert k4.kind == "join"
-    assert all(c.kind == "leaf" for c in k4.children)
+    assert k4.kind == ["join"] + ["leaf"] * 4 and k4.kids[0] == (1, 2, 3, 4)
+    assert [(c.root, c.kind[c.root]) for c in k4.children] == [(1, "leaf"), (2, "leaf"),
+                                                            (3, "leaf"), (4, "leaf")]
+    assert decompose_cograph(Graph(0, [])) == cographs.Cotree(["union"], [()], [-1], [-1], [])
 
 
 def test_is_cograph_examples():
@@ -62,13 +68,22 @@ def test_is_cograph_matches_induced_path_search():
 
 
 def assert_same_cotree(got, want):
-    """Walk both trees side by side without recursion: the same kind,
-    vertices and child order at every node."""
+    """Walk the numbered cotree beside the reference without recursion:
+    the same kind, vertices and child order at every node, with parents,
+    lowest vertices and leaves that agree."""
     assert (got is None) == (want is None)
-    pairs = [(got, want)] if got is not None else []
-    for x, y in pairs:
-        assert (x.kind, x.vertices, len(x.children)) == (y.kind, y.vertices, len(y.children))
-        pairs.extend(zip(x.children, y.children))
+    if got is None:
+        return
+    vertices = cotree_vertices(got)
+    pairs = [(0, want)]
+    for i, y in pairs:
+        kids = got.kids[i]
+        assert (got.kind[i], vertices[i], len(kids)) == (y.kind, y.vertices, len(y.children))
+        assert got.low[i] == (y.vertices[0] if y.vertices else -1)
+        assert all(got.up[c] == i for c in kids)
+        pairs.extend(zip(kids, y.children))
+    assert len(pairs) == len(got.kind) and got.up[0] == -1
+    assert [vertices[i] for i in got.leaf] == [(v,) for v in range(len(got.leaf))]
 
 
 def test_cotree_matches_naive_build():

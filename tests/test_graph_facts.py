@@ -123,8 +123,8 @@ def test_second_cograph_solve_reuses_cotree(monkeypatch, variant):
 def test_caches_hold_none_outside_the_class():
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert c4.path_layout is None
-    assert c4.cotree is not None
+    assert c4._cotree is not None
     p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert p4.path_layout == (0, 1, 2, 3)
-    assert p4.cotree is None and decompose_cograph(p4) is None
-    assert decompose_cograph(c4) is c4.cotree
+    assert p4._cotree is None and decompose_cograph(p4) is None
+    assert decompose_cograph(c4) is c4._cotree

@@ -108,6 +108,20 @@ def test_state_cap_is_exact(g, multiset):
             enumerate_states(g, multiset, state_cap=cap)
 
 
+@pytest.mark.parametrize(
+    "g, multiset, cap",
+    [
+        (path_graph(37), [1] * 18, 1000),  # 190 states behind 524 097 placement frames
+        (complete_graph(24), [8], 100),  # one component from a pool of 735 471 subsets
+        (complete_graph(28), [9], 100),
+    ],
+)
+def test_state_cap_bounds_the_work(g, multiset, cap):
+    bound = oracle.WORK_PER_STATE * (cap + 1)
+    with pytest.raises(StateSpaceTooLargeError, match=f"exceeds {bound} frames, the work bound"):
+        enumerate_states(g, multiset, state_cap=cap)
+
+
 def test_graph_keeps_one_state_space(monkeypatch):
     calls = []
     enumerate_plain = enumerate_states
