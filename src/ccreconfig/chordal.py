@@ -156,6 +156,6 @@ def solve_equal_size_cj(
     jumps = tuple(
         (cg.a_only[ai], cg.b_only[bi]) for ai, bi in _peel_order(cg)
     )
-    states = _replay_jumps(va, jumps) if want_states else None
+    states = tuple(_replay_jumps(va, jumps)) if want_states else None
     return Result(Rule.CJ, True, states, jumps, conflicts=cg)
 

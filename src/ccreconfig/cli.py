@@ -13,9 +13,9 @@ import argparse
 import gc
 import json
 import os
-import random
 import sys
 import time
+from collections.abc import Iterator
 from typing import Any
 
 from .chordal import solve_equal_size_cj
@@ -26,7 +26,6 @@ from .errors import (
     StateSpaceTooLargeError,
     WrongGraphClassError,
 )
-from .generators import gen_chordal_instance, gen_cograph_instance, gen_path_instance
 from .graph import (
     Graph,
     SizeMultiset,
@@ -44,11 +43,11 @@ from .paths import (
     _path_runs,
     _solve_cj,
     _solve_cs,
-    expand_moves,
+    _vertex_jumps,
     is_path_graph,
     path_order,
 )
-from .rules import Rule, verify_sequence
+from .rules import Rule, _verify_steps, verify_sequence
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -144,7 +143,9 @@ def _write(out, value: Any, pad: str, text: _Text) -> None:
     when it starts on a line indented as pad (a newline and spaces): a
     list of ints in one piece joined from text, other lists and dicts
     item by item, so no long list (states, moves, edges) is one string.
-    Each list in a report holds one kind of item, known by its first."""
+    Each list in a report holds one kind of item, known by its first.
+    An iterator (a replay's states) is written as a list, item by item
+    as it makes them."""
     inner = pad + "  "
     if type(value) is int:
         out(text[value])
@@ -157,13 +158,13 @@ def _write(out, value: Any, pad: str, text: _Text) -> None:
             _write(out, v, inner, text)
             sep = ","
         out(pad + "}")
-    elif type(value) in (list, tuple) and value:
+    elif type(value) in (list, tuple) or isinstance(value, Iterator):
         sep = "["
         for v in value:
             out(sep + inner)
             _write(out, v, inner, text)
             sep = ","
-        out(pad + "]")
+        out(pad + "]" if sep == "," else "[]")
     else:
         out(json.dumps(value))
 
@@ -200,15 +201,14 @@ def _state_cap(text: str) -> int:
 def _run_path(g, a, b, rule, args, runs):
     if runs is None:  # the host is not a path
         path_order(g)  # raises, saying why
-    res = _solve_cs(*runs) if rule is Rule.CS else _solve_cj(g.n, *runs)
-    if res.reachable and not args.compressed:
-        return expand_moves(g, a, res.moves, rule)
-    return res
+    return _solve_cs(*runs) if rule is Rule.CS else _solve_cj(g.n, *runs)
 
 
 # algorithm -> (rules it decides, runner returning the solver's Result).
-# A runner's last argument is the pair of position runs _load_instance
-# took on a path host for a rule the path solver decides, else None.
+# The path and chordal runners return moves only; _cmd_solve replays
+# them into the full states it writes.  A runner's last argument is the
+# pair of position runs _load_instance took on a path host for a rule
+# the path solver decides, else None.
 # Each solver raises WrongGraphClassError or InvalidInstanceError outside
 # its class, so `auto` tries the entries whose rules hold the rule, in
 # order, until one decides.  Runners look the solvers up by module name
@@ -225,9 +225,7 @@ SOLVERS = {
     ),
     "chordal": (
         (Rule.CJ,),
-        lambda g, a, b, rule, args, runs: solve_equal_size_cj(
-            g, a, b, want_states=not args.compressed
-        ),
+        lambda g, a, b, rule, args, runs: solve_equal_size_cj(g, a, b, want_states=False),
     ),
     "oracle": (
         tuple(Rule),
@@ -280,14 +278,19 @@ def _cmd_solve(args) -> int:
         stats["space"] = res.space_size
         if res.reachable:
             stats["distance"] = res.distance
-    if res.states is not None:
-        stats["length"] = res.distance
-    elif res.moves is not None:
+    if res.moves is not None:
         stats["length"] = len(res.moves)
+    elif res.states is not None:
+        stats["length"] = res.distance
     report = {"answer": res.answer, "rule": rule.value, "algorithm": algorithm, "stats": stats}
     if res.reason:
         report["reason"] = res.reason
-    if res.states is not None:
+    if res.moves is not None and not args.compressed:
+        # path moves are checked into vertex jumps before the first byte;
+        # the states are made as _emit writes them, one held at a time
+        jumps = res.moves if algorithm == "chordal" else _vertex_jumps(g, a, res.moves)
+        report["states"] = _replay_jumps(a, jumps)
+    elif res.states is not None:
         report["states"] = res.states
     if res.moves is not None:
         # path moves, or the equal-size solver's (source, target) jumps
@@ -324,6 +327,7 @@ def _cmd_verify(args) -> int:
     # the rule comes from --rule, else the report, else the instance
     named = seq.get("rule") if isinstance(seq, dict) and args.rule is None else args.rule
     g, a, b, rule, ma, mb, _ = _load_instance(args.instance, named)
+    states = jumps = None
     if isinstance(seq, dict) and "states" in seq:
         states = _state_list(seq["states"])
     elif isinstance(seq, dict) and "moves" in seq:
@@ -331,26 +335,49 @@ def _cmd_verify(args) -> int:
         if type(moves) is not list:
             raise InvalidInstanceError('"moves" must be a list')
         if moves and all(isinstance(mv, dict) for mv in moves):
-            moves = [CompressedMove.from_json(mv) for mv in moves]
-            states = expand_moves(g, a, moves, rule).states
+            jumps = _vertex_jumps(g, a, [CompressedMove.from_json(mv) for mv in moves])
         else:
-            states = _replay_jumps(a, [_jump(mv) for mv in moves])
+            jumps = [_jump(mv) for mv in moves]
     elif isinstance(seq, list):
         states = _state_list(seq)
     else:
         raise InvalidInstanceError('sequence needs "states", "moves", or a list')
-    if not states or tuple(sorted(states[0])) != a or tuple(sorted(states[-1])) != b:
+    if jumps is not None:
+        # the last state from set updates alone, so the endpoints are
+        # judged before any state is made
+        last = set(a)
+        for src, dst in jumps:
+            last.difference_update(src)
+            last.update(dst)
+        ends = a, last
+    else:
+        ends = (states[0], states[-1]) if states else None
+    if not ends or tuple(sorted(ends[0])) != a or tuple(sorted(ends[1])) != b:
         _emit({"ok": False, "index": 0, "condition": "endpoints"})
         return EXIT_NO
-    outcome = verify_sequence(g, states, ma, rule=rule)
+    if jumps is None:
+        outcome = verify_sequence(g, states, ma, rule=rule)
+        length = len(states) - 1
+    else:
+        # the first state holding a bad vertex is the first after a jump
+        # whose target holds one
+        for _, dst in jumps:
+            _clean_subset(g, set(dst))
+        outcome = _verify_steps(g, _replay_jumps(a, jumps), ma, rule)
+        length = len(jumps)
     if outcome:
-        _emit({"ok": True, "rule": rule.value, "length": len(states) - 1})
+        _emit({"ok": True, "rule": rule.value, "length": length})
         return EXIT_YES
     _emit({"ok": False, "index": outcome.index, "condition": outcome.condition})
     return EXIT_NO
 
 
 def _cmd_gen(args) -> int:
+    # imported here, so that no other command compiles them
+    import random
+
+    from .generators import gen_chordal_instance, gen_cograph_instance, gen_path_instance
+
     _check_vertex_count(args.n)
     rng = random.Random(args.seed)
     if args.kind == "path":

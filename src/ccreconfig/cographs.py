@@ -289,7 +289,7 @@ def solve_cograph_cs(
     variant = Rule.parse(variant)
     if variant not in (Rule.CS, Rule.CS1):
         raise InvalidInstanceError(f"variant must be CS or CS1, got {variant.value}")
-    ct = g._cotree
+    ct = decompose_cograph(g)
     if ct is None:
         raise NotACographError("graph contains an induced four-vertex path")
     va = _clean_subset(g, a)
@@ -329,4 +329,4 @@ def solve_cograph_cs(
             for c in comps:
                 parts.setdefault(_child(ct, i, c[0]), ([], []))[side].append(c)
         pending += ((kid, *parts[kid]) for kid in sorted(parts, reverse=True))
-    return Result(variant, True, _replay_jumps(va, jumps))
+    return Result(variant, True, tuple(_replay_jumps(va, jumps)))

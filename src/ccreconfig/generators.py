@@ -144,14 +144,35 @@ def random_chordal_graph(rng: random.Random, n: int) -> Graph:
     a clique of the part built before it."""
     if n < 1:
         raise InvalidInstanceError("need at least one vertex")
+    # The draws are rng.randrange(len(cliques)), rng.randint(1, min(len(base),
+    # 3)) and rng.sample(base, take), spelled out as the getrandbits rejection
+    # sampling that each of them is on CPython 3.10-3.13: the same graph and
+    # the same rng state after it, without the calls' argument handling.
+    bits = rng.getrandbits
+
+    def below(m: int) -> int:  # rng._randbelow(m)
+        k = m.bit_length()
+        r = bits(k)
+        while r >= m:
+            r = bits(k)
+        return r
+
     edges = []
     cliques = [(0,)]
     for v in range(1, n):
-        base = cliques[rng.randrange(len(cliques))]
-        take = rng.randint(1, min(len(base), 3))
-        anchors = rng.sample(base, take)
+        base = cliques[below(v)]
+        size = len(base)
+        take = 1 + below(min(size, 3))
+        pool = list(base)
+        anchors = []
+        for i in range(size - 1, size - 1 - take, -1):
+            j = below(i + 1)
+            anchors.append(pool[j])
+            pool[j] = pool[i]
         edges.extend((u, v) for u in anchors)
-        cliques.append(tuple(sorted(anchors)) + (v,))
+        anchors.sort()
+        anchors.append(v)
+        cliques.append(tuple(anchors))
     return Graph(n, edges)
 
 

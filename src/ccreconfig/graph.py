@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InvalidInstanceError, WrongGraphClassError
 
@@ -227,13 +227,14 @@ _EDIT_IN_PLACE_MAX = 32
 
 def _replay_jumps(
     start: Iterable[int], jumps: Iterable[tuple[Iterable[int], Iterable[int]]]
-) -> tuple[tuple[int, ...], ...]:
-    """States after each (source, target) jump from start, a sorted subset
-    without repeats, applied as plain set updates (legality is for the
-    verifier).  The state stays one sorted list, edited in place or merged
-    by slices (see _EDIT_IN_PLACE_MAX); each state is one tuple copy of it."""
+) -> Iterator[tuple[int, ...]]:
+    """Start, a sorted subset without repeats, then the state after each
+    (source, target) jump, applied as plain set updates (legality is for
+    the verifier), made one at a time as the caller reads them.  The
+    state stays one sorted list, edited in place or merged by slices (see
+    _EDIT_IN_PLACE_MAX); each state is one tuple copy of it."""
     cur, have = list(start), set(start)
-    states = [tuple(cur)]
+    yield tuple(cur)
     for src, dst in jumps:
         dst = set(dst)
         gone, new = have.intersection(src) - dst, dst - have
@@ -252,8 +253,7 @@ def _replay_jumps(
                     merged.append(v)
                 last = i + drop
             cur = merged + cur[last:]
-        states.append(tuple(cur))
-    return tuple(states)
+        yield tuple(cur)
 
 
 def _component(g: Graph, inside: set[int], s: int, seen: set[int]) -> list[int]:

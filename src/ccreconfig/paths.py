@@ -240,16 +240,13 @@ def _solve_cj(
     return Result(Rule.CJ, True, moves=tuple(moves))
 
 
-def expand_moves(
-    g: Graph, a: Iterable[int], moves: Iterable[CompressedMove], rule: Rule | str
-) -> Result:
-    """Replay compressed moves into the full state sequence (vertex ids,
-    not positions), returned with the moves.  Each move is checked on a
-    position occupancy in O(size), then replayed as a vertex jump."""
-    rule = Rule.parse(rule)
-    moves = tuple(moves)
+def _vertex_jumps(
+    g: Graph, va: tuple[int, ...], moves: Iterable[CompressedMove]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The compressed moves from the cleaned subset va as (source, target)
+    vertex jumps, each checked on a position occupancy in O(size) first,
+    so a bad move raises before any state is made."""
     order = path_order(g)
-    va = _clean_subset(g, a)
     n = len(order)
     occ = bytearray(n + 2)  # occ[p + 1] is 1 if position p is taken
     for p, size in _path_runs(g, va):
@@ -267,4 +264,16 @@ def expand_moves(
             raise InvalidInstanceError(f"move {mv} lands on another component")
         occ[dst + 1:dst + size + 1] = b"\1" * size
         jumps.append((order[src:src + size], order[dst:dst + size]))
-    return Result(rule, True, _replay_jumps(va, jumps), moves)
+    return jumps
+
+
+def expand_moves(
+    g: Graph, a: Iterable[int], moves: Iterable[CompressedMove], rule: Rule | str
+) -> Result:
+    """Replay compressed moves into the full state sequence (vertex ids,
+    not positions), returned with the moves.  Each move is checked on a
+    position occupancy in O(size), then replayed as a vertex jump."""
+    rule = Rule.parse(rule)
+    moves = tuple(moves)
+    va = _clean_subset(g, a)
+    return Result(rule, True, tuple(_replay_jumps(va, _vertex_jumps(g, va, moves))), moves)

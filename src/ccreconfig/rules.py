@@ -163,6 +163,14 @@ def verify_sequence(
     if not states:
         raise InvalidInstanceError("cannot verify an empty sequence")
     want = SizeMultiset(cc_multiset(g, states[0]) if multiset is None else multiset)
+    return _verify_steps(g, states, want, rule)
+
+
+def _verify_steps(
+    g: Graph, states: Iterable[tuple[int, ...]], want: SizeMultiset, rule: Rule
+) -> VerifyResult:
+    """verify_sequence's checks on states already cleaned, read one at a
+    time, so a replay can be verified as it is made."""
     tokens = rule is Rule.TJ or rule is Rule.TS
     prev: set[int] | None = None
     for i, vs in enumerate(states):

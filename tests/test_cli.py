@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -880,11 +881,91 @@ def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(tmp_path):
     assert err == b""
 
 
+def _path_cj_instance(tmp_path):
+    """A 3 000-vertex path CJ instance with a 651-move witness of
+    states of about 1 500 vertices, a 6 MB full-state report."""
+    inst = tmp_path / "i.json"
+    inst.write_text(_stdout(["gen", "--kind", "path", "--n", "3000", "--parts", "30",
+                             "--seed", "1", "--rule", "CJ"]))
+    return str(inst)
+
+
+def test_reader_closing_mid_report_keeps_the_exit_code_and_prints_no_traceback(tmp_path):
+    # the full-state report is streamed as it is replayed
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ccreconfig.cli", "solve", _path_cj_instance(tmp_path)],
+        env=child_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = child.stdout.read(64 * 1024)
+    child.stdout.close()  # the reader leaves while the states are written
+    err = child.stderr.read()
+    assert child.wait(timeout=120) == 0
+    assert len(head) == 64 * 1024 and head.startswith(b'{\n  "answer": "yes"')
+    assert err == b""
+
+
+def test_cli_import_leaves_the_generators_to_gen():
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ccreconfig.cli; print('ccreconfig.generators' in sys.modules)"],
+        env=child_env(), capture_output=True, text=True, check=True,
+    )
+    assert child.stdout == "False\n"
+
+
+def _traced_peak(argv, out=os.devnull):
+    """Exit code and tracemalloc peak in bytes of main(argv), its report
+    written to the file out, so the text itself is never held."""
+    with open(out, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return code, peak
+
+
+def test_full_state_solve_holds_one_state_at_a_time(tmp_path):
+    """The full states are written as they are replayed, so a full-state
+    solve peaks near its --compressed run, not at all states at once
+    (3.3 times that when the states were a tuple)."""
+    inst = _path_cj_instance(tmp_path)
+    code, compressed = _traced_peak(["solve", inst, "--compressed"])
+    assert code == 0
+    code, full = _traced_peak(["solve", inst])
+    assert code == 0
+    assert full < 1.5 * compressed, (full, compressed)
+
+
+def test_compressed_report_verifies_holding_one_state_at_a_time(tmp_path):
+    """verify replays a compressed report's moves into the step checks
+    one state at a time: path moves and [source, target] jumps alike
+    peak near the compressed solve that wrote them."""
+    path_inst = _path_cj_instance(tmp_path)
+    # 1 000 singletons on a 3 000-vertex path, each jumping one vertex on
+    jump_inst = write(tmp_path, "j.json", {
+        "graph": {"n": 3000, "edges": [[p, p + 1] for p in range(2999)]},
+        "A": list(range(0, 3000, 3)), "B": list(range(1, 3000, 3)), "rule": "CJ"})
+    for inst, algorithm, moves in ((path_inst, "path", 651), (jump_inst, "chordal", 1000)):
+        report = str(tmp_path / "r.json")
+        code, solved = _traced_peak(["solve", inst, "--compressed", "--algorithm", algorithm],
+                                    report)
+        assert code == 0 and json.loads(Path(report).read_text())["algorithm"] == algorithm
+        out = str(tmp_path / "v.json")
+        code, verified = _traced_peak(["verify", inst, report], out)
+        assert code == 0
+        assert json.loads(Path(out).read_text()) == {"ok": True, "rule": "CJ", "length": moves}
+        assert verified < 1.5 * solved, (algorithm, verified, solved)
+
+
 def test_out_of_memory_exits_4_and_names_compressed(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "expand_moves", exhausted)
+    monkeypatch.setattr(cli, "_vertex_jumps", exhausted)
     code, report, err = run(capsys, ["solve", write(tmp_path, "i.json", P7_CJ)])
     assert code == 4 and report is None
     assert len(err.splitlines()) == 1 and "--compressed" in json.loads(err)["error"]

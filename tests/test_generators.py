@@ -104,3 +104,31 @@ def test_cotree_graph_edge_limit_is_exact(monkeypatch):
     monkeypatch.setattr(generators, "MAX_EDGES", g.m - 1)
     with pytest.raises(InvalidInstanceError, match=f"over {g.m - 1} edges"):
         random_cotree_graph(random.Random(5), 30)
+
+
+def _chordal_edges_by_library_calls(rng, n):
+    """random_chordal_graph's edge list as written with the random module's
+    own calls, the reference for its spelled-out draws."""
+    edges = []
+    cliques = [(0,)]
+    for v in range(1, n):
+        base = cliques[rng.randrange(len(cliques))]
+        take = rng.randint(1, min(len(base), 3))
+        anchors = rng.sample(base, take)
+        edges.extend((u, v) for u in anchors)
+        cliques.append(tuple(sorted(anchors)) + (v,))
+    return edges
+
+
+def test_chordal_draws_match_the_library_calls(monkeypatch):
+    """The same edges in the same order, and the generator left in the
+    same state, as randrange, randint and sample would give."""
+    built = []
+    monkeypatch.setattr(generators, "Graph", lambda n, edges: built.append(list(edges)))
+    for seed in range(12):
+        for n in (1, 2, 3, 4, 7, 60, 2000):
+            want_rng, got_rng = random.Random(seed), random.Random(seed)
+            want = _chordal_edges_by_library_calls(want_rng, n)
+            random_chordal_graph(got_rng, n)
+            assert built.pop() == want, (seed, n)
+            assert got_rng.getstate() == want_rng.getstate(), (seed, n)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import ccreconfig
 from ccreconfig import (
     Graph, Rule, cli, cographs, decompose_cograph, graph, paths, solve_cograph_cs,
 )
@@ -63,6 +64,33 @@ def test_cli_cograph_solve_decomposes_once(tmp_path, capsys, monkeypatch):
     assert main(["solve", str(path)]) in (0, 1)
     assert json.loads(capsys.readouterr().out)["algorithm"] == "cograph"
     assert len(builds) == 1
+
+
+def test_cli_cograph_solve_builds_the_cotree_through_decompose_cograph(tmp_path, capsys):
+    """A timing wrapper bound in place of decompose_cograph, under every
+    name the package gives it, sees the cotree a CLI solve builds."""
+    real = cographs.decompose_cograph
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    bound = [(mod, attr) for mod in (ccreconfig, cographs, cli)
+             for attr, val in vars(mod).items() if val is real]
+    for mod, attr in bound:
+        setattr(mod, attr, wrapper)
+    try:
+        g = threshold_graph(9)
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps({"graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
+                                    "A": [0, 2, 4], "B": [0, 2, 6], "rule": "CS"}))
+        assert main(["solve", str(path)]) in (0, 1)
+    finally:
+        for mod, attr in bound:
+            setattr(mod, attr, real)
+    assert json.loads(capsys.readouterr().out)["algorithm"] == "cograph"
+    assert len(calls) == 1
 
 
 def _dispatch_calls(tmp_path, capsys, monkeypatch, inst):
