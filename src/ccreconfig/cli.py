@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from collections.abc import Iterator
+from itertools import pairwise
 from typing import Any
 
 from .chordal import solve_equal_size_cj
@@ -47,7 +48,7 @@ from .paths import (
     is_path_graph,
     path_order,
 )
-from .rules import Rule, _verify_steps, verify_sequence
+from .rules import Rule, _verify_jumps
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -87,15 +88,7 @@ def _instance_graph(obj: dict) -> Graph:
     payload = obj.get("graph")
     if not isinstance(payload, dict) or "n" not in payload:
         raise InvalidInstanceError('instance needs "graph" {n, edges} or "graph_file"')
-    if type(payload["n"]) is not int:
-        raise InvalidInstanceError('"n" must be an integer')
-    edges = payload.get("edges", [])
-    if type(edges) is not list or not all(
-        type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
-        for e in edges
-    ):
-        raise InvalidInstanceError('"edges" must be a list of [u, v] integer pairs')
-    return Graph(payload["n"], edges)
+    return Graph(payload["n"], payload.get("edges", []))
 
 
 def _load_instance(path: str, rule_flag: str | None):
@@ -309,12 +302,6 @@ def _cmd_solve(args) -> int:
     return _ANSWER_CODES[res.answer]
 
 
-def _state_list(value: Any) -> list[list[int]]:
-    if type(value) is not list:
-        raise InvalidInstanceError("states must be a list of vertex lists")
-    return [_int_list(s, "a state") for s in value]
-
-
 def _jump(mv: Any) -> tuple[list[int], list[int]]:
     """A [source, target] vertex-list jump from a report, checked for shape."""
     if type(mv) is not list or len(mv) != 2:
@@ -327,9 +314,9 @@ def _cmd_verify(args) -> int:
     # the rule comes from --rule, else the report, else the instance
     named = seq.get("rule") if isinstance(seq, dict) and args.rule is None else args.rule
     g, a, b, rule, ma, mb, _ = _load_instance(args.instance, named)
-    states = jumps = None
+    states, jumps = seq, None
     if isinstance(seq, dict) and "states" in seq:
-        states = _state_list(seq["states"])
+        states = seq.pop("states")
     elif isinstance(seq, dict) and "moves" in seq:
         moves = seq["moves"]
         if type(moves) is not list:
@@ -338,33 +325,37 @@ def _cmd_verify(args) -> int:
             jumps = _vertex_jumps(g, a, [CompressedMove.from_json(mv) for mv in moves])
         else:
             jumps = [_jump(mv) for mv in moves]
-    elif isinstance(seq, list):
-        states = _state_list(seq)
-    else:
+    elif not isinstance(seq, list):
         raise InvalidInstanceError('sequence needs "states", "moves", or a list')
-    if jumps is not None:
-        # the last state from set updates alone, so the endpoints are
-        # judged before any state is made
+    if jumps is None:
+        if type(states) is not list:
+            raise InvalidInstanceError("states must be a list of vertex lists")
+        for s in states:
+            _int_list(s, "a state")
+        ends = states[:1] + states[-1:]
+    else:
+        # the last state from set updates, so the endpoints are judged first
         last = set(a)
         for src, dst in jumps:
             last.difference_update(src)
             last.update(dst)
-        ends = a, last
-    else:
-        ends = (states[0], states[-1]) if states else None
+        ends = [a, last]
     if not ends or tuple(sorted(ends[0])) != a or tuple(sorted(ends[1])) != b:
         _emit({"ok": False, "index": 0, "condition": "endpoints"})
         return EXIT_NO
     if jumps is None:
-        outcome = verify_sequence(g, states, ma, rule=rule)
+        # each parsed list is freed as its cleaned tuple replaces it; the
+        # moves are the differences of consecutive states
+        for i, s in enumerate(states):
+            states[i] = _clean_subset(g, s)
+        jumps = ((u - w, w - u) for u, w in pairwise(map(set, states)))
         length = len(states) - 1
     else:
-        # the first state holding a bad vertex is the first after a jump
-        # whose target holds one
+        # the first state holding a bad vertex follows the first bad target
         for _, dst in jumps:
             _clean_subset(g, set(dst))
-        outcome = _verify_steps(g, _replay_jumps(a, jumps), ma, rule)
         length = len(jumps)
+    outcome = _verify_jumps(g, a, jumps, ma, rule)
     if outcome:
         _emit({"ok": True, "rule": rule.value, "length": length})
         return EXIT_YES

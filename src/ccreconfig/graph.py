@@ -51,7 +51,8 @@ def _check_vertex_count(n: int) -> None:
 class Graph:
     """Immutable undirected graph on vertices 0..n-1.
 
-    Self-loops and duplicate edges are rejected.  Treat instances as
+    Every edge must be a pair of int vertex ids in range; self-loops and
+    duplicate edges are rejected.  Treat instances as
     frozen, `adj` too (it holds the very sets the constructor validated):
     all derived structure is shared freely across threads.  The class
     facts the solvers rest on (path order, cotree) are computed on first
@@ -66,11 +67,23 @@ class Graph:
             raise InvalidInstanceError("vertex count must be non-negative")
         _check_vertex_count(n)
         self.n = n
+        try:
+            pairs = iter(edges)
+        except TypeError:
+            raise InvalidInstanceError(f"edge list {edges!r} cannot be iterated") from None
         adj: list[set[int]] = [set() for _ in range(n)]
         m = 0
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidInstanceError(f"edge ({u}, {v}) out of range for n={n}")
+        for e in pairs:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise InvalidInstanceError(f"edge {e!r} is not a pair of vertices") from None
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+                # the slow pass words the error, and passes int subclasses
+                if any(isinstance(x, bool) or not isinstance(x, int) for x in (u, v)):
+                    raise InvalidInstanceError(f"edge ({u!r}, {v!r}): vertex ids must be ints")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InvalidInstanceError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise InvalidInstanceError(f"self-loop at vertex {u}")
             nbrs = adj[u]

@@ -100,20 +100,15 @@ def components_masks(adj: tuple[int, ...], mask: int) -> list[int]:
     return comps
 
 
-def connected_k_subsets(g: Graph, k: int) -> list[int]:
+def _connected_subsets(g: Graph, k: int, budget: float) -> tuple[list[int], float]:
     """All connected k-vertex subsets of G, as bitmasks in canonical
-    subset order.
+    subset order, and the budget left after its pushes (< 0: cut short).
 
     Uses the rooted extension scheme that emits every subset exactly
     once: grow only with vertices above the root, and never re-offer a
     candidate that an earlier branch already consumed.
     """
-    return _connected_subsets(g, k, float("inf"))[0]
-
-
-def _connected_subsets(g: Graph, k: int, budget: float) -> tuple[list[int], float]:
-    """connected_k_subsets, and the budget left after its pushes (< 0: cut short)."""
-    if k < 1 or k > g.n:
+    if k > g.n:
         return [], budget
     adj = tuple(map(mask_of, g.adj))
     full = (1 << g.n) - 1

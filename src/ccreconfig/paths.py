@@ -16,9 +16,8 @@ after).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidInstanceError, WrongGraphClassError
 from .graph import Graph, _clean_subset, _replay_jumps
@@ -99,9 +98,9 @@ def _tagged(profile: Iterable[int]) -> list[tuple[int, int]]:
     return entries
 
 
-@dataclass(frozen=True)
-class CompressedMove:
-    """One component move in position space."""
+class CompressedMove(NamedTuple):
+    """One component move in position space; it compares equal to the
+    plain tuple (size, src, dst)."""
 
     size: int
     src: int
@@ -112,10 +111,7 @@ class CompressedMove:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CompressedMove":
-        try:
-            fields = obj["size"], obj["from"], obj["to"]
-        except (KeyError, TypeError):
-            raise InvalidInstanceError(f"bad compressed move: {obj!r}") from None
+        fields = [obj.get(k) for k in ("size", "from", "to")] if isinstance(obj, dict) else [None]
         if any(type(v) is not int for v in fields):
             raise InvalidInstanceError(f"bad compressed move: {obj!r}")
         return cls(*fields)
@@ -253,7 +249,7 @@ def _vertex_jumps(
         occ[p + 1:p + size + 1] = b"\1" * size
     jumps = []
     for mv in moves:
-        size, src, dst = mv.size, mv.src, mv.dst
+        size, src, dst = mv
         if src < 0 or src + size > n or dst < 0 or dst + size > n:
             raise InvalidInstanceError(f"move {mv} leaves the path")
         # taken positions src .. src + size - 1, free ones on either side

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import pairwise
+from typing import TYPE_CHECKING, Collection, Iterable
 
 from .errors import InvalidInstanceError
 from .graph import (
@@ -63,33 +64,33 @@ class Rule(str, Enum):
             ) from None
 
 
-def _one_move(g: Graph, u: set[int], w: set[int], rule: Rule) -> bool:
-    """Whether w is one move from u under the rule; both hold valid
-    vertices.  A component move swaps the component c of u that loses a
-    vertex for the component c2 of w that gains one, and leaves the rest
-    as it is: u - c == w - c2.  Costs two set differences, a search over
-    c and c2 only, and one pass over c2's neighbourhoods for a slide:
-    c and c2 are connected, so they join iff they touch."""
-    gone, new = u - w, w - u
-    if rule is Rule.TJ or rule is Rule.TS:
-        if len(gone) != 1 or len(new) != 1:
-            return False
-        return rule is Rule.TJ or not g.adj[next(iter(gone))].isdisjoint(new)
-    if not gone or not new:
+def _one_move(g: Graph, have: set[int], gone: set[int], new: set[int], rule: Rule) -> bool:
+    """Apply a move to the state have, dropping gone (all in have) and
+    adding new (none in have), and say whether it is one move under the
+    rule.  A component move swaps the component c of the old state that
+    loses a vertex for the component c2 of the new one that gains one,
+    so it searches c and c2 only; a slide then asks whether they touch."""
+    tokens = rule is Rule.TJ or rule is Rule.TS
+    c = None if tokens or not gone else set(_component(g, have, next(iter(gone)), set()))
+    have -= gone
+    have |= new
+    if tokens:
+        return len(gone) == 1 == len(new) and (
+            rule is Rule.TJ or not g.adj[next(iter(gone))].isdisjoint(new))
+    if not c or not new:
         return False
-    c = set(_component(g, u, next(iter(gone)), set()))
-    c2 = set(_component(g, w, next(iter(new)), set()))
-    if not (len(c) == len(c2) and gone <= c and new <= c2 and c & w <= c2 and c2 & u <= c):
+    c2 = set(_component(g, have, next(iter(new)), set()))
+    if not (len(c) == len(c2) and gone <= c and new <= c2 and c - gone <= c2 and c2 - new <= c):
         return False
-    if rule is Rule.CS1 and len(gone) != 1:
-        return False
-    return rule is Rule.CJ or _touch(g, c, c2)
+    # a slide must touch, and a single-vertex slide moves one vertex
+    return rule is Rule.CJ or (rule is Rule.CS or len(gone) == 1) and _touch(g, c, c2)
 
 
 def adjacent(g: Graph, u: Iterable[int], w: Iterable[int], rule: Rule | str) -> bool:
     """One-move adjacency between two subsets under the given rule."""
     rule = Rule.parse(rule)
-    return _one_move(g, set(_clean_subset(g, u)), set(_clean_subset(g, w)), rule)
+    u, w = set(_clean_subset(g, u)), set(_clean_subset(g, w))
+    return _one_move(g, u, u - w, w - u, rule)
 
 
 @dataclass(frozen=True)
@@ -138,20 +139,15 @@ class VerifyResult:
 
 def verify_sequence(
     g: Graph,
-    states: Sequence[Iterable[int]],
+    states: Iterable[Collection[int]],
     multiset: SizeMultiset | Iterable[int] | None = None,
     rule: Rule | str = Rule.TJ,
 ) -> VerifyResult:
     """Check a full state sequence: every state must have the required
     component-size multiset and consecutive states must be one move
-    apart.
-
-    Every state is checked for valid vertices before anything else.
-    Only two consecutive states are held as sets at a time, and each
-    move costs O(|U|) set work plus a search over the two components it
-    swaps.  Components of a whole state are found only for state 0, for
-    every state under TJ and TS, and for a state whose move failed: a
-    legal component move keeps the multiset.
+    apart.  Every state is checked for valid vertices before anything
+    else; then each move, the difference of two consecutive states, is
+    checked as _verify_jumps checks a jump, two states held as sets.
 
     Scan order is multiset-of-state before adjacency-to-predecessor, so
     a state that breaks both is reported as a multiset violation at its
@@ -159,26 +155,33 @@ def verify_sequence(
     first state of the offending pair.
     """
     rule = Rule.parse(rule)
-    states = [_clean_subset(g, s) for s in states]
+    states = list(states)
+    for s in states:
+        _clean_subset(g, s)
     if not states:
         raise InvalidInstanceError("cannot verify an empty sequence")
     want = SizeMultiset(cc_multiset(g, states[0]) if multiset is None else multiset)
-    return _verify_steps(g, states, want, rule)
+    steps = ((u - w, w - u) for u, w in pairwise(map(set, states)))
+    return _verify_jumps(g, states[0], steps, want, rule)
 
 
-def _verify_steps(
-    g: Graph, states: Iterable[tuple[int, ...]], want: SizeMultiset, rule: Rule
-) -> VerifyResult:
-    """verify_sequence's checks on states already cleaned, read one at a
-    time, so a replay can be verified as it is made."""
+def _verify_jumps(g: Graph, start: Iterable[int], jumps: Iterable[tuple], want: SizeMultiset,
+                  rule: Rule) -> VerifyResult:
+    """verify_sequence's checks on the states that (source, target) jumps
+    make from a valid start, applied to one set as the replay applies
+    them: drop the source vertices held and not targeted, add the valid
+    target vertices missing.  A legal component move keeps the multiset,
+    so whole-state components are found only for the start, under TJ and
+    TS, and after a failed move."""
     tokens = rule is Rule.TJ or rule is Rule.TS
-    prev: set[int] | None = None
-    for i, vs in enumerate(states):
-        cur = set(vs)
-        moved = prev is not None and _one_move(g, prev, cur, rule)
-        if (tokens or not moved) and cc_multiset(g, vs) != want:
+    have = set(start)
+    if cc_multiset(g, have) != want:
+        return VerifyResult(False, 0, "multiset")
+    for i, (src, dst) in enumerate(jumps, 1):
+        dst = set(dst)
+        moved = _one_move(g, have, have.intersection(src) - dst, dst - have, rule)
+        if (tokens or not moved) and cc_multiset(g, have) != want:
             return VerifyResult(False, i, "multiset")
-        if prev is not None and not moved:
+        if not moved:
             return VerifyResult(False, i - 1, "adjacency")
-        prev = cur
     return VerifyResult(True)

@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from ccreconfig.cographs import Cotree
 from ccreconfig.graph import Graph, co_components, connected_components
+from ccreconfig.oracle import enumerate_states, neighbors
 
 
 def all_edge_sets(n: int):
@@ -106,6 +107,23 @@ def adjacent_bf(g: Graph, u, w, rule) -> bool:
     if not is_connected_bf(g, set(c) | set(c2)):
         return False
     return rule == "CS" or len(set(c) - set(c2)) == 1
+
+
+def verify_bf(g: Graph, states, multiset, rule) -> tuple[int, str] | None:
+    """A sequence check that shares no code with the verifier: states are
+    scanned in order, and a state is blamed at its own index when its
+    union-find component sizes are not the multiset, else at the index of
+    its predecessor when the oracle's move list for the multiset does not
+    link the two.  None when every state passes."""
+    want = sorted(multiset)
+    space = enumerate_states(g, want)
+    masks = [sum(1 << v for v in s) for s in states]
+    for i, s in enumerate(states):
+        if sorted(len(c) for c in components_bf(g, s)) != want:
+            return i, "multiset"
+        if i and space.index[masks[i]] not in neighbors(space, space.index[masks[i - 1]], rule):
+            return i - 1, "adjacency"
+    return None
 
 
 def complement_graph(g: Graph) -> Graph:

@@ -31,7 +31,7 @@ from ccreconfig.generators import (
     random_chordal_graph,
     sample_spread_components,
 )
-from ccreconfig.oracle import connected_k_subsets, enumerate_states, neighbors, vertices_of
+from ccreconfig.oracle import enumerate_states, neighbors, vertices_of
 
 from helpers import all_graphs, random_connected_graph
 
@@ -224,10 +224,10 @@ def test_criterion_cograph_solver():
                     failures.append((g.edges, a, b, "not shortest"))
         # single-component spot check on the same cograph
         s = rng.randint(1, max(1, min(4, g.n)))
-        pool = connected_k_subsets(g, s)
+        one = enumerate_states(g, (s,))
+        pool = one.states
         if len(pool) >= 2 and len(cc_multiset(g, range(g.n))) == 1:
             x, y = (vertices_of(m) for m in rng.sample(pool, 2))
-            one = enumerate_states(g, (s,))
             ix = one.index[sum(1 << v for v in x)]
             iy = one.index[sum(1 << v for v in y)]
             d_cs = solve_cograph_cs(g, x, y).distance

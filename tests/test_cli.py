@@ -941,9 +941,9 @@ def test_full_state_solve_holds_one_state_at_a_time(tmp_path):
 
 
 def test_compressed_report_verifies_holding_one_state_at_a_time(tmp_path):
-    """verify replays a compressed report's moves into the step checks
-    one state at a time: path moves and [source, target] jumps alike
-    peak near the compressed solve that wrote them."""
+    """verify checks a compressed report's moves against one set: path
+    moves and [source, target] jumps alike peak near the compressed
+    solve that wrote them."""
     path_inst = _path_cj_instance(tmp_path)
     # 1 000 singletons on a 3 000-vertex path, each jumping one vertex on
     jump_inst = write(tmp_path, "j.json", {
@@ -959,6 +959,55 @@ def test_compressed_report_verifies_holding_one_state_at_a_time(tmp_path):
         assert code == 0
         assert json.loads(Path(out).read_text()) == {"ok": True, "rule": "CJ", "length": moves}
         assert verified < 1.5 * solved, (algorithm, verified, solved)
+
+
+def test_full_state_verify_keeps_no_second_copy_of_the_states(tmp_path):
+    """Each parsed state is freed as its cleaned tuple replaces it, so a
+    full-state verify peaks near what reading the report and loading the
+    instance take.  The states are singletons on a 250-vertex path, whose
+    ids are ints Python shares, so the lists are most of the report and
+    a cleaned copy of them all shows (1.3 times that peak)."""
+    a = list(range(0, 240, 3))
+    inst = write(tmp_path, "i.json", {
+        "graph": {"n": 250, "edges": [[p, p + 1] for p in range(249)]},
+        "A": a, "B": a, "rule": "CJ"})
+    away = a[1:] + [241]  # the singleton 0 jumps to 241 and back
+    report = write(tmp_path, "r.json", {"rule": "CJ", "states": [a, away] * 1000 + [a]})
+    tracemalloc.start()
+    try:
+        held = cli._read_json(report), cli._load_instance(inst, None)
+        loaded = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del held
+    out = str(tmp_path / "v.json")
+    code, verified = _traced_peak(["verify", inst, report], out)
+    assert code == 0 and json.loads(Path(out).read_text())["length"] == 2000
+    assert verified < 1.1 * loaded, (verified, loaded)
+
+
+def test_verify_replays_no_states(tmp_path, capsys, monkeypatch):
+    """verify applies each move to one set: full-state reports, bare
+    state lists, path moves and [source, target] jumps all verify with
+    the replay gone."""
+    _, chordal, _ = run(capsys, ["gen", "--kind", "chordal", "--n", "60", "--size", "2",
+                                 "--count", "3", "--seed", "4"])
+    cases = []
+    for inst in (write(tmp_path, "p.json", P7_CJ), write(tmp_path, "c.json", chordal)):
+        for flags in ([], ["--compressed"]):
+            code, report, _ = run(capsys, ["solve", inst, *flags])
+            assert code == 0
+            cases.append((inst, report))
+        cases.append((inst, cases[-2][1]["states"]))  # the full states as a bare list
+
+    def replayed(*args):
+        raise AssertionError("verify replayed the states")
+
+    monkeypatch.setattr(cli, "_replay_jumps", replayed)
+    monkeypatch.setattr(ccreconfig.graph, "_replay_jumps", replayed)
+    for inst, report in cases:
+        code, outcome, _ = run(capsys, ["verify", inst, write(tmp_path, "r.json", report)])
+        assert code == 0 and outcome["ok"] is True
 
 
 def test_out_of_memory_exits_4_and_names_compressed(tmp_path, capsys, monkeypatch):
@@ -977,7 +1026,7 @@ def test_out_of_memory_outside_solve_names_no_flag(tmp_path, capsys, monkeypatch
 
     inst = write(tmp_path, "i.json", P7_CJ)
     seq = write(tmp_path, "s.json", [[0, 2, 3, 4], [0, 1, 2, 4]])
-    monkeypatch.setattr(cli, "verify_sequence", exhausted)
+    monkeypatch.setattr(cli, "_verify_jumps", exhausted)
     monkeypatch.setattr(cli, "oracle_solve", exhausted)
     for argv in (["verify", inst, seq], ["oracle", inst]):
         code, report, err = run(capsys, argv)

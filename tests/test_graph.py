@@ -28,7 +28,7 @@ from ccreconfig.graph import (
     parse_graph,
     path_graph,
 )
-from ccreconfig.oracle import connected_k_subsets, mask_of, vertices_of
+from ccreconfig.oracle import enumerate_states, mask_of, vertices_of
 
 
 def test_graph_basics():
@@ -51,6 +51,34 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(2, 0), (0, 2)])
     with pytest.raises(InvalidInstanceError):
         Graph(-1)
+
+
+@pytest.mark.parametrize(
+    "edges, words",
+    [
+        ([(0, True)], r"edge \(0, True\): vertex ids must be ints"),
+        ([(0, 1.0)], r"edge \(0, 1.0\): vertex ids must be ints"),
+        ([("0", 1)], r"edge \('0', 1\): vertex ids must be ints"),
+        ([(0, None)], r"edge \(0, None\): vertex ids must be ints"),
+        ([(0, 1), (0, 1, 2)], r"edge \(0, 1, 2\) is not a pair of vertices"),
+        ([(0, 1), 2], r"edge 2 is not a pair of vertices"),
+        (5, r"edge list 5 cannot be iterated"),
+        (None, r"edge list None cannot be iterated"),
+    ],
+    ids=["bool", "float", "str", "none", "triple", "not-a-pair", "int-list", "none-list"],
+)
+def test_graph_names_an_edge_of_the_wrong_kind(edges, words):
+    with pytest.raises(InvalidInstanceError, match=words):
+        Graph(3, edges)
+
+
+def test_graph_takes_any_pair_of_int_ids():
+    class Id(enum.IntEnum):
+        A = 0
+        B = 2
+
+    assert Graph(3, [[0, 1], iter((1, 2))]).edges == ((0, 1), (1, 2))
+    assert Graph(3, [(Id.A, Id.B)]).has_edge(0, 2)
 
 
 def test_edges_and_m_match_the_normalised_input():
@@ -300,7 +328,7 @@ def test_touch_is_union_connectivity_for_connected_sets():
     rng = random.Random(29)
     for _ in range(500):
         g = helpers.random_graph(rng, rng.randint(6, 7), rng.choice([0.2, 0.4]))
-        pool = [m for k in (1, 2, 3) for m in connected_k_subsets(g, k)]
+        pool = [m for k in (1, 2, 3) for m in enumerate_states(g, [k]).states]
         x, y = (set(vertices_of(rng.choice(pool))) for _ in range(2))
         assert _touch(g, x, y) == (len(connected_components(g, x | y)) == 1), (g.edges, x, y)
 

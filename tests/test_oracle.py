@@ -8,7 +8,7 @@ import pytest
 
 import helpers
 from ccreconfig import oracle
-from ccreconfig.errors import StateSpaceTooLargeError
+from ccreconfig.errors import InvalidInstanceError, StateSpaceTooLargeError
 from ccreconfig.graph import (
     SizeMultiset,
     cc_multiset,
@@ -20,7 +20,6 @@ from ccreconfig.oracle import (
     ReconfigGraph,
     bfs_distances,
     build_reconfig_graph,
-    connected_k_subsets,
     enumerate_states,
     export_dot,
     neighbors,
@@ -34,11 +33,13 @@ ALL_RULES = list(Rule)
 
 
 def test_connected_k_subsets_match_filtered_combinations():
+    """The states of a one-component multiset [k] are the connected
+    k-subsets, each once, in canonical order."""
     rng = random.Random(29)
     for _ in range(120):
         g = helpers.random_graph(rng, rng.randint(1, 8))
         for k in range(1, g.n + 1):
-            got = connected_k_subsets(g, k)
+            got = enumerate_states(g, [k]).states
             assert len(got) == len(set(got))
             as_sets = {frozenset(vertices_of(m)) for m in got}
             assert as_sets == helpers.connected_k_subsets_bf(g, k)
@@ -48,8 +49,9 @@ def test_connected_k_subsets_match_filtered_combinations():
 
 def test_connected_k_subsets_within_mask():
     g = path_graph(6)
-    assert connected_k_subsets(g, 0) == []
-    assert connected_k_subsets(g, 7) == []
+    assert enumerate_states(g, [7]).states == ()
+    with pytest.raises(InvalidInstanceError):
+        enumerate_states(g, [0])
 
 
 def test_enumerate_states_small_examples():

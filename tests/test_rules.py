@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -190,6 +191,86 @@ def test_verify_sequence_reports_multiset_violation():
 def test_verify_sequence_rejects_empty():
     with pytest.raises(InvalidInstanceError):
         verify_sequence(path_graph(3), [], [1], Rule.TJ)
+
+
+def _edited(rng, states, n):
+    """The states with one of them dropped, two neighbours swapped, or
+    one vertex added, removed or replaced in one of them."""
+    states = [list(s) for s in states]
+    i = rng.randrange(len(states))
+    kind = rng.randrange(3)
+    if kind == 0 and len(states) > 2:
+        del states[i]
+    elif kind == 1 and len(states) > 1:
+        i = min(i, len(states) - 2)
+        states[i], states[i + 1] = states[i + 1], states[i]
+    else:
+        s, free = states[i], [v for v in range(n) if v not in states[i]]
+        if s and (not free or rng.random() < 0.3):
+            s.remove(rng.choice(s))
+        elif free:
+            if s and rng.random() < 0.5:
+                s.remove(rng.choice(s))
+            s.append(rng.choice(free))
+    return states
+
+
+def _walk(rng, g, a):
+    """A random sequence from a: each state drops some vertices of one
+    component of the state before and adds one fewer, as many or one
+    more others."""
+    states = [list(a)]
+    for _ in range(rng.randint(1, 4)):
+        s = set(states[-1])
+        comps = helpers.components_bf(g, s)
+        c = rng.choice(comps) if comps else ()
+        gone = set(rng.sample(c, rng.randint(min(1, len(c)), len(c))))
+        free = [v for v in range(g.n) if v not in s]
+        s -= gone
+        s |= set(rng.sample(free, min(len(free), max(0, len(gone) + rng.randint(-1, 1)))))
+        states.append(sorted(s))
+    return states
+
+
+def test_verify_sequence_matches_the_oracle_reference():
+    """verify_sequence against helpers.verify_bf, which reads moves off
+    the oracle and components off union-find: on oracle witnesses, the
+    same witnesses edited, random sequences of valid states or any
+    subsets, and random walks, n <= 7 and all five rules."""
+    rng = random.Random(83)
+    p7 = path_graph(7)
+    # a move that splits the component it leaves, and one that joins the
+    # component it makes to another
+    cases = [(p7, [[0, 1, 2], [0, 2, 3, 4]], [3], Rule.CJ),
+             (p7, [[0, 1, 2, 4], [2, 3, 4]], [1, 3], Rule.CS)]
+    for _ in range(3000):
+        n = rng.randint(2, 7)
+        g = helpers.random_graph(rng, n, rng.choice([0.3, 0.5]))
+        rule = rng.choice(ALL_RULES)
+        a = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+        want = cc_multiset(g, a)
+        space = enumerate_states(g, want)
+        kind = rng.randrange(4)
+        if kind == 3:
+            states = _walk(rng, g, a)
+        elif kind == 2:
+            states = [a] + [space.state_vertices(rng.randrange(len(space))) if rng.random() < 0.7
+                             else rng.sample(range(n), rng.randint(0, n))
+                             for _ in range(rng.randint(0, 4))]
+        else:
+            b = space.state_vertices(rng.randrange(len(space)))
+            res = oracle_solve(g, a, b, rule=rule)
+            states = res.states if res.reachable else [a, b]
+            if kind == 1:
+                states = _edited(rng, states, n)
+        cases.append((g, states, want, rule))
+    seen = Counter()
+    for g, states, want, rule in cases:
+        got = verify_sequence(g, states, want, rule)
+        ref = helpers.verify_bf(g, states, want, rule.value)
+        assert (None if got else (got.index, got.condition)) == ref, (g.edges, states, rule)
+        seen[ref and ref[1], rule] += 1
+    assert len(seen) == 3 * len(ALL_RULES) and min(seen.values()) >= 10, seen
 
 
 def test_verify_single_state_sequence():
