@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from collections.abc import Iterator
-from itertools import pairwise
 from typing import Any
 
 from .chordal import solve_equal_size_cj
@@ -48,7 +47,7 @@ from .paths import (
     is_path_graph,
     path_order,
 )
-from .rules import Rule, _verify_jumps
+from .rules import Rule, VerifyResult, _state_steps, _verify_jumps, _verify_path_moves
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -91,7 +90,7 @@ def _instance_graph(obj: dict) -> Graph:
     return Graph(payload["n"], payload.get("edges", []))
 
 
-def _load_instance(path: str, rule_flag: str | None):
+def _load_instance(path: str, rule_flag: str | None, verifying: bool = False):
     obj = _read_json(path)
     if not isinstance(obj, dict):
         raise InvalidInstanceError("instance must be a JSON object")
@@ -106,9 +105,10 @@ def _load_instance(path: str, rule_flag: str | None):
     rule = Rule.parse(rule_name)
     declared = obj.get("multiset")
     runs = None
-    if rule in SOLVERS["path"][0] and is_path_graph(g):
+    if (verifying or rule in SOLVERS["path"][0]) and is_path_graph(g):
         # on a path the runs of positions are the components; the path
-        # solver decides from the same runs
+        # solver decides from the same runs, and verify needs no graph
+        # search under any rule
         runs = _path_runs(g, a), _path_runs(g, b)
         ma, mb = (SizeMultiset(size for _, size in r) for r in runs)
     else:
@@ -313,7 +313,7 @@ def _cmd_verify(args) -> int:
     seq = _read_json(args.sequence)
     # the rule comes from --rule, else the report, else the instance
     named = seq.get("rule") if isinstance(seq, dict) and args.rule is None else args.rule
-    g, a, b, rule, ma, mb, _ = _load_instance(args.instance, named)
+    g, a, b, rule, ma, mb, _ = _load_instance(args.instance, named, verifying=True)
     states, jumps = seq, None
     if isinstance(seq, dict) and "states" in seq:
         states = seq.pop("states")
@@ -322,9 +322,11 @@ def _cmd_verify(args) -> int:
         if type(moves) is not list:
             raise InvalidInstanceError('"moves" must be a list')
         if moves and all(isinstance(mv, dict) for mv in moves):
-            jumps = _vertex_jumps(g, a, [CompressedMove.from_json(mv) for mv in moves])
-        else:
-            jumps = [_jump(mv) for mv in moves]
+            moves = [CompressedMove.from_json(mv) for mv in moves]
+            path_order(g)  # raises if the host is not a path
+            # checked in positions, endpoints before the first bad move
+            return _verdict(_verify_path_moves(g, a, b, moves, ma, rule), rule, len(moves))
+        jumps = [_jump(mv) for mv in moves]
     elif not isinstance(seq, list):
         raise InvalidInstanceError('sequence needs "states", "moves", or a list')
     if jumps is None:
@@ -341,21 +343,22 @@ def _cmd_verify(args) -> int:
             last.update(dst)
         ends = [a, last]
     if not ends or tuple(sorted(ends[0])) != a or tuple(sorted(ends[1])) != b:
-        _emit({"ok": False, "index": 0, "condition": "endpoints"})
-        return EXIT_NO
+        return _verdict(VerifyResult(False, 0, "endpoints"), rule, 0)
     if jumps is None:
-        # each parsed list is freed as its cleaned tuple replaces it; the
-        # moves are the differences of consecutive states
-        for i, s in enumerate(states):
-            states[i] = _clean_subset(g, s)
-        jumps = ((u - w, w - u) for u, w in pairwise(map(set, states)))
+        # the moves are the differences of consecutive states; the first
+        # state is A
+        jumps = _state_steps(g, states)
+        next(jumps)
         length = len(states) - 1
     else:
         # the first state holding a bad vertex follows the first bad target
         for _, dst in jumps:
             _clean_subset(g, set(dst))
         length = len(jumps)
-    outcome = _verify_jumps(g, a, jumps, ma, rule)
+    return _verdict(_verify_jumps(g, a, jumps, ma, rule), rule, length)
+
+
+def _verdict(outcome: VerifyResult, rule: Rule, length: int) -> int:
     if outcome:
         _emit({"ok": True, "rule": rule.value, "length": length})
         return EXIT_YES
@@ -380,7 +383,9 @@ def _cmd_gen(args) -> int:
     else:
         g, a, b = gen_chordal_instance(rng, args.n, size=args.size, count=args.count)
         rule = args.rule or "CJ"
-    _emit({"graph": {"n": g.n, "edges": g.edges}, "A": a, "B": b,
+    # the edges as Graph.edges lists them, made as they are written
+    edges = ((u, v) for u, nbrs in enumerate(g.adj) for v in sorted(nbrs) if u < v)
+    _emit({"graph": {"n": g.n, "edges": edges}, "A": a, "B": b,
            "rule": Rule.parse(rule).value, "seed": args.seed})
     return EXIT_YES
 

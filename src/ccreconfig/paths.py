@@ -16,12 +16,11 @@ after).
 from __future__ import annotations
 
 import re
-from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidInstanceError, WrongGraphClassError
 from .graph import Graph, _clean_subset, _replay_jumps
-from .rules import Result, Rule
+from .rules import Result, Rule, _occupancy, _placed
 
 __all__ = [
     "path_order",
@@ -75,16 +74,10 @@ def is_path_graph(g: Graph) -> bool:
 
 def _path_runs(g: Graph, vertices: Iterable[int]) -> list[tuple[int, int]]:
     """Components of cleaned vertices on the path g, left to right, as
-    (leftmost position, size): the runs of a membership array read in
-    path order.  O(n), no sort and no lookup of a vertex's position."""
-    n = g.n
-    inside = bytearray(n + 2)
-    for v in vertices:
-        inside[v] = 1
-    # keys n and n + 1 are never inside; they keep itemgetter's result
-    # a tuple when n < 2
-    along = bytes(itemgetter(*g.path_layout, n, n + 1)(inside))
-    return [(m.start(), m.end() - m.start()) for m in re.finditer(rb"\x01+", along)]
+    (leftmost position, size): the runs of their position occupancy.
+    O(n), no sort and no lookup of a vertex's position."""
+    return [(m.start() - 1, m.end() - m.start())
+            for m in re.finditer(rb"\x01+", _occupancy(g, vertices))]
 
 
 def _tagged(profile: Iterable[int]) -> list[tuple[int, int]]:
@@ -243,24 +236,8 @@ def _vertex_jumps(
     vertex jumps, each checked on a position occupancy in O(size) first,
     so a bad move raises before any state is made."""
     order = path_order(g)
-    n = len(order)
-    occ = bytearray(n + 2)  # occ[p + 1] is 1 if position p is taken
-    for p, size in _path_runs(g, va):
-        occ[p + 1:p + size + 1] = b"\1" * size
-    jumps = []
-    for mv in moves:
-        size, src, dst = mv
-        if src < 0 or src + size > n or dst < 0 or dst + size > n:
-            raise InvalidInstanceError(f"move {mv} leaves the path")
-        # taken positions src .. src + size - 1, free ones on either side
-        if occ[src:src + size + 2] != b"\0" + b"\1" * size + b"\0":
-            raise InvalidInstanceError(f"move {mv} does not lift a whole component")
-        occ[src + 1:src + size + 1] = bytes(size)
-        if 1 in occ[dst + 1:dst + size + 1]:
-            raise InvalidInstanceError(f"move {mv} lands on another component")
-        occ[dst + 1:dst + size + 1] = b"\1" * size
-        jumps.append((order[src:src + size], order[dst:dst + size]))
-    return jumps
+    return [(order[src:src + size], order[dst:dst + size])
+            for size, src, dst in _placed(_occupancy(g, va), moves)]
 
 
 def expand_moves(

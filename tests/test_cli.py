@@ -962,11 +962,12 @@ def test_compressed_report_verifies_holding_one_state_at_a_time(tmp_path):
 
 
 def test_full_state_verify_keeps_no_second_copy_of_the_states(tmp_path):
-    """Each parsed state is freed as its cleaned tuple replaces it, so a
-    full-state verify peaks near what reading the report and loading the
-    instance take.  The states are singletons on a 250-vertex path, whose
-    ids are ints Python shares, so the lists are most of the report and
-    a cleaned copy of them all shows (1.3 times that peak)."""
+    """Each parsed state is made one set as it is reached and only the
+    previous set is kept, so a full-state verify peaks near what reading
+    the report and loading the instance take.  The states are singletons
+    on a 250-vertex path, whose ids are ints Python shares, so the lists
+    are most of the report and a cleaned copy of them all shows (1.3
+    times that peak)."""
     a = list(range(0, 240, 3))
     inst = write(tmp_path, "i.json", {
         "graph": {"n": 250, "edges": [[p, p + 1] for p in range(249)]},
