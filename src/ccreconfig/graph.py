@@ -11,9 +11,11 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from functools import cached_property
+from itertools import chain, islice
+from operator import itemgetter, lt
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import InvalidInstanceError, WrongGraphClassError
+from .errors import InvalidInstanceError
 
 if TYPE_CHECKING:
     from .cographs import Cotree
@@ -36,8 +38,8 @@ __all__ = [
 
 
 # Largest vertex count of a Graph, checked before anything is allocated:
-# a Graph holds one set per vertex, a 246 MB peak RSS at this size before
-# the first edge.
+# a Graph that is not a path holds one set per vertex, a 246 MB peak RSS
+# at this size before the first edge.
 MAX_VERTICES = 1_000_000
 
 
@@ -52,12 +54,17 @@ class Graph:
     """Immutable undirected graph on vertices 0..n-1.
 
     Every edge must be a pair of int vertex ids in range; self-loops and
-    duplicate edges are rejected.  Treat instances as
-    frozen, `adj` too (it holds the very sets the constructor validated):
-    all derived structure is shared freely across threads.  The class
-    facts the solvers rest on (path order, cotree) are computed on first
-    use and cached on the instance, and so is the oracle's last state
-    space, in one slot that a space for another multiset replaces.
+    duplicate edges are rejected.  Treat instances as frozen, `adj` too:
+    all derived structure is shared freely across threads.  A graph whose
+    edges form a path keeps only its path order, `path_layout`, found
+    while the edges are read; its neighbour sets are built from that
+    order on first read of `adj`.  Every other graph keeps the very sets
+    the constructor validated; its `path_layout` is None unless n <= 1.
+    A list or tuple of edges is read in place; any other iterable is read
+    once, holding at most n edges to tell whether they can be a path, and
+    all n - 1 of them when they can.  The cotree is computed on first use
+    and cached on the instance, and so is the oracle's last state space,
+    in one slot that a space for another multiset replaces.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -67,13 +74,32 @@ class Graph:
             raise InvalidInstanceError("vertex count must be non-negative")
         _check_vertex_count(n)
         self.n = n
-        try:
-            pairs = iter(edges)
-        except TypeError:
-            raise InvalidInstanceError(f"edge list {edges!r} cannot be iterated") from None
+        sized = type(edges) is list or type(edges) is tuple
+        if not sized:
+            try:
+                pairs = iter(edges)
+            except TypeError:
+                raise InvalidInstanceError(f"edge list {edges!r} cannot be iterated") from None
+            # only n - 1 edges can be a path: hold at most n to tell, and
+            # stream the rest of a longer iterable into the set build
+            head = list(islice(pairs, n))
+            sized = len(head) == n - 1
+            edges = head if sized else chain(head, pairs)
+        layout = None
+        if sized and n > 1 and len(edges) == n - 1:
+            layout = _walk_path(n, edges)
+            if layout is False:
+                edges = list(map(_pair, edges))
+                layout = _walk_path(n, edges) or None
+        self.path_layout: tuple[int, ...] | None = layout if n > 1 else tuple(range(n))
+        # the oracle's last state space, one slot kept by oracle.py
+        self._state_space: StateSpace | None = None
+        if layout is not None:
+            self.m = n - 1
+            return
         adj: list[set[int]] = [set() for _ in range(n)]
         m = 0
-        for e in pairs:
+        for e in edges:
             try:
                 u, v = e
             except (TypeError, ValueError):
@@ -94,13 +120,26 @@ class Graph:
             m += 1
         self.m = m
         self.adj = adj
-        # the oracle's last state space, one slot kept by oracle.py
-        self._state_space: StateSpace | None = None
+
+    @cached_property
+    def adj(self) -> list[set[int]]:
+        """Each vertex's neighbour set.  Only a path gets here, on first
+        read: the constructor keeps the sets of every other graph."""
+        adj: list[set[int]] = [set() for _ in range(self.n)]
+        order = self.path_layout
+        for u, v in zip(order, order[1:]):
+            adj[u].add(v)
+            adj[v].add(u)
+        return adj
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Every edge once as (u, v) with u < v, in sorted order.  Derived
-        from the adjacency on first use; the solvers read only `adj`."""
+        from the path order or the adjacency on first use; the solvers
+        read only those."""
+        order = self.path_layout
+        if order is not None:
+            return tuple(sorted((u, v) if u < v else (v, u) for u, v in zip(order, order[1:])))
         return tuple((u, v) for u, nbrs in enumerate(self.adj) for v in sorted(nbrs) if u < v)
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -116,21 +155,20 @@ class Graph:
         if not (0 <= v < self.n):
             raise InvalidInstanceError(f"vertex {v} out of range for n={self.n}")
 
-    # The two builders live with their solvers, which import this module.
-
     @cached_property
-    def path_layout(self) -> tuple[int, ...] | None:
-        """Vertices in path order, or None when the graph is not a path."""
-        from .paths import _walk_path
-
-        try:
-            return _walk_path(self)
-        except WrongGraphClassError:
-            return None
+    def _by_position(self) -> itemgetter:
+        """Reads a sequence indexed by vertex, of length n + 1, in path
+        order, with its item n before and after: a path's occupancy.
+        Built once, since a getter made per read copies the layout into
+        two fresh n-long arrays, and a loop of solves then has the heap
+        return and fault in those pages on every call."""
+        n = self.n
+        return itemgetter(n, *self.path_layout, n)
 
     @cached_property
     def _cotree(self) -> Cotree | None:
-        """The cotree, or None when the graph is not a cograph."""
+        """The cotree, or None when the graph is not a cograph.  Its
+        builder lives with the cograph solvers, which import this module."""
         from .cographs import _build_cotree
 
         return _build_cotree(self)
@@ -145,6 +183,64 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _pair(e):
+    """An edge unpacked once, as a tuple; what does not unpack to a pair
+    is kept for the set build to name."""
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        return e
+    return u, v
+
+
+def _walk_path(n: int, edges: list | tuple) -> tuple[int, ...] | None | bool:
+    """The vertices in path order from the endpoint with the smaller id
+    when the n - 1 edges, n >= 2, form a simple path; None otherwise, a
+    malformed edge included; False, before reading it, at the first edge
+    that is neither a list nor a tuple.  One pass counts each vertex's
+    degree and XORs its neighbour ids, and stops at the first vertex of
+    degree 3.  With every degree at most 2 and 2(n - 1) in all, a vertex
+    of degree 1 means exactly two and none of degree 0, and each
+    component is a path or a cycle (a duplicate edge or a self-loop is
+    one): a walk from one endpoint, stepping to the XOR of its neighbours
+    less the vertex it came from, follows its path to the other, and the
+    edges form a simple path iff it covers all n vertices."""
+    deg = [0] * n
+    nbrs = [0] * n
+    try:
+        for e in edges:
+            # An edge of another type may be a one-shot iterator, which
+            # the caller unpacks once (`_pair`) for this walk and the set
+            # build; an int subclass such as an IntEnum id walks as its
+            # int.  Anything else the set build words.
+            if type(e) is not list and type(e) is not tuple:
+                return False
+            u, v = e
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+                if not all(isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+                           for x in (u, v)):
+                    return None
+                u, v = int(u), int(v)
+            deg[u] += 1
+            deg[v] += 1
+            if deg[u] > 2 or deg[v] > 2:
+                return None
+            nbrs[u] ^= v
+            nbrs[v] ^= u
+    except ValueError:  # a list or tuple that is not a pair
+        return None
+    if 1 not in deg:
+        return None
+    start = deg.index(1)
+    end = deg.index(1, start + 1)
+    order, prev, cur = [], 0, start  # prev 0 XORs away at the start
+    while cur != end:
+        order.append(cur)
+        prev, cur = cur, nbrs[cur] ^ prev
+    order.append(end)
+    return tuple(order) if len(order) == n else None
 
 
 def path_graph(n: int) -> Graph:
@@ -217,8 +313,10 @@ def _clean_subset(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
         vs.sort()
     except TypeError:
         pass  # an unorderable mix holds a type other than int: the slow pass words it
+    # sorted ints hold no duplicate iff they ascend strictly; a set to
+    # count them would be a fresh table of several MB per large subset
     if vs and not (set(map(type, vs)) == {int} and 0 <= vs[0] and vs[-1] < g.n
-                   and len(set(vs)) == len(vs)):
+                   and all(map(lt, vs, islice(vs, 1, None)))):
         # the slow pass words the error, and passes int subclasses
         prev = None
         for v in vs:

@@ -32,40 +32,24 @@ __all__ = [
 ]
 
 
-def _walk_path(g: Graph) -> tuple[int, ...]:
-    """Path order from the endpoint with the smaller id.  Raises if the
-    graph is not a path."""
-    n, adj = g.n, g.adj
-    if n <= 1:
-        return tuple(range(n))
+def path_order(g: Graph) -> tuple[int, ...]:
+    """Vertices in order along the path, starting from the endpoint with
+    the smaller id: the layout the constructor found.  Raises if the
+    graph is not a path, with the first reason its degrees give."""
+    if g.path_layout is not None:
+        return g.path_layout
+    # only a graph that is not a path gets here, and it keeps its sets
+    n = g.n
     if g.m != n - 1:
         raise WrongGraphClassError(f"not a path: {g.m} edges for {n} vertices")
-    degs = list(map(len, adj))
+    degs = list(map(len, g.adj))
     if max(degs) > 2:
         v = next(v for v, d in enumerate(degs) if d > 2)
         raise WrongGraphClassError(f"not a path: vertex {v} has degree {degs[v]}")
     if degs.count(1) != 2:
         raise WrongGraphClassError("not a path: endpoint count is not 2")
-    # every other vertex has degree 2: a path, plus cycles if the walk
-    # ends early.  A step goes to sum(adj[cur]) - prev (prev 0 at start).
-    start = degs.index(1)
-    end = degs.index(1, start + 1)
-    order, prev, cur = [], 0, start
-    while cur != end:
-        order.append(cur)
-        prev, cur = cur, sum(adj[cur]) - prev
-    order.append(end)
-    if len(order) != n:
-        raise WrongGraphClassError("not a path: walk ended early")
-    return tuple(order)
-
-
-def path_order(g: Graph) -> tuple[int, ...]:
-    """Vertices in order along the path, starting from the endpoint with
-    the smaller id.  Raises if the graph is not a path."""
-    if g.path_layout is None:
-        _walk_path(g)  # raises with the reason the graph is not a path
-    return g.path_layout
+    # n - 1 edges, two endpoints, the rest of degree 2: a path plus cycles
+    raise WrongGraphClassError("not a path: walk ended early")
 
 
 def is_path_graph(g: Graph) -> bool:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import InvalidInstanceError
@@ -72,7 +71,7 @@ def _occupancy(g: Graph, vertices: Iterable[int]) -> bytearray:
     inside = bytearray(n + 1)  # inside[n] stays 0, read for both guards
     for v in vertices:
         inside[v] = 1
-    return bytearray(itemgetter(n, *g.path_layout, n)(inside))
+    return bytearray(g._by_position(inside))
 
 
 def _run_sizes(occ: bytearray) -> SizeMultiset:

@@ -12,6 +12,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from ccreconfig.cographs import Cotree
+from ccreconfig.errors import InvalidInstanceError
 from ccreconfig.graph import Graph, co_components, connected_components
 from ccreconfig.oracle import enumerate_states, neighbors
 
@@ -62,6 +63,64 @@ class UnionFind:
             self.parent[ra] = rb
             return True
         return False
+
+
+class ReferenceGraph(NamedTuple):
+    m: int
+    adj: list[set[int]]
+    edges: tuple[tuple[int, int], ...]
+    path: tuple[int, ...] | str  # the path order, or why there is none
+
+
+def reference_graph(n: int, edges) -> ReferenceGraph:
+    """The construction of a graph as it was before a path was read as its
+    order: one pass builds and validates every neighbour set, raising as
+    Graph does for the first bad edge, and a walk over the sets gives the
+    path order or the first reason there is none."""
+    try:
+        pairs = iter(edges)
+    except TypeError:
+        raise InvalidInstanceError(f"edge list {edges!r} cannot be iterated") from None
+    adj: list[set[int]] = [set() for _ in range(n)]
+    m = 0
+    for e in pairs:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise InvalidInstanceError(f"edge {e!r} is not a pair of vertices") from None
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in (u, v)):
+            raise InvalidInstanceError(f"edge ({u!r}, {v!r}): vertex ids must be ints")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidInstanceError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise InvalidInstanceError(f"self-loop at vertex {u}")
+        if v in adj[u]:
+            raise InvalidInstanceError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+        adj[u].add(v)
+        adj[v].add(u)
+        m += 1
+    listed = tuple((u, v) for u, nbrs in enumerate(adj) for v in sorted(nbrs) if u < v)
+    return ReferenceGraph(m, adj, listed, _reference_path(n, m, adj))
+
+
+def _reference_path(n: int, m: int, adj: list[set[int]]) -> tuple[int, ...] | str:
+    if n <= 1:
+        return tuple(range(n))
+    if m != n - 1:
+        return f"not a path: {m} edges for {n} vertices"
+    degs = [len(s) for s in adj]
+    high = [v for v in range(n) if degs[v] > 2]
+    if high:
+        return f"not a path: vertex {high[0]} has degree {degs[high[0]]}"
+    ends = [v for v in range(n) if degs[v] == 1]
+    if len(ends) != 2:
+        return "not a path: endpoint count is not 2"
+    order, seen = [ends[0]], {ends[0]}
+    while order[-1] != ends[1]:
+        nxt = [u for u in adj[order[-1]] if u not in seen]
+        order.append(int(nxt[0]))
+        seen.add(nxt[0])
+    return tuple(order) if len(order) == n else "not a path: walk ended early"
 
 
 def components_bf(g: Graph, vertices) -> list[tuple[int, ...]]:

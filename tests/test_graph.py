@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import enum
 import random
+import re
 import time
 import tracemalloc
 
@@ -79,6 +80,110 @@ def test_graph_takes_any_pair_of_int_ids():
 
     assert Graph(3, [[0, 1], iter((1, 2))]).edges == ((0, 1), (1, 2))
     assert Graph(3, [(Id.A, Id.B)]).has_edge(0, 2)
+
+
+class OneShot(tuple):
+    """An edge given as a one-shot iterator over these values."""
+
+
+Id = enum.IntEnum("Id", [(f"V{i}", i) for i in range(41)])
+
+
+def _edge_lists(rng):
+    """Seeded edge lists, as (n, items); a OneShot item stands for an
+    iterator made afresh for each build."""
+    def path(n):
+        order = rng.sample(range(n), n)
+        pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in zip(order, order[1:])]
+        rng.shuffle(pairs)
+        return [list(e) if rng.random() < 0.5 else e for e in pairs]
+
+    for n in range(41):
+        for _ in range(12):
+            yield n, path(n)
+    for _ in range(200):
+        n = rng.randint(2, 40)
+        yield n, [(Id(u), Id(v)) if rng.random() < 0.7 else (u, Id(v)) for u, v in path(n)]
+    for _ in range(150):
+        n = rng.randint(2, 40)
+        ids = rng.sample(range(n), n)
+        yield n, [(ids[rng.randrange(v)], ids[v]) for v in range(1, n)]  # a random tree
+        hub = rng.randrange(n)
+        yield n, [(hub, v) if rng.random() < 0.5 else (v, hub) for v in range(n) if v != hub]
+        if n >= 4:
+            ids = rng.sample(range(n), n)
+            edges = [(ids[i], ids[i + 1]) for i in range(n - 4)]
+            edges += [(ids[-3], ids[-2]), (ids[-2], ids[-1]), (ids[-1], ids[-3])]
+            rng.shuffle(edges)
+            yield n, edges  # a path beside a triangle
+            # a cycle and a lone vertex
+            yield n, [(ids[i], ids[(i + 1) % (n - 1)]) for i in range(n - 1)]
+        if n >= 3:
+            edges = path(n - 1)
+            u, v = rng.choice(edges)
+            edges.insert(rng.randrange(len(edges) + 1), (u, v) if rng.random() < 0.5 else (v, u))
+            yield n, edges  # a path with one edge twice, and a lone vertex
+            yield n, path(n)[1:]  # two paths
+    bad = [lambda n: (1, 1), lambda n: (0, n), lambda n: (-1, 0), lambda n: (0, True),
+           lambda n: (0, 1.0), lambda n: ("0", 1), lambda n: (0, None), lambda n: None,
+           lambda n: (0, 1, 2), lambda n: 2, lambda n: OneShot((0, 1, 2)),
+           lambda n: OneShot((0,)), lambda n: OneShot((n - 1, n - 1))]
+    for _ in range(35):
+        n = rng.randint(3, 40)
+        for make in bad:
+            for at in (0, (n - 1) // 2, n - 2):
+                edges = path(n)
+                edges[at] = make(n)  # n - 1 edges, one malformed
+                yield n, edges
+                edges = path(n)
+                edges.insert(at, make(n))
+                yield n, edges
+    for _ in range(100):
+        n = rng.randint(2, 40)
+        edges = path(n)
+        for at in rng.sample(range(n - 1), rng.randint(1, n - 1)):
+            edges[at] = OneShot(edges[at])
+        yield n, edges
+
+
+def _made(items, kind):
+    edges = [iter(e) if isinstance(e, OneShot) else e for e in items]
+    return {"list": edges, "tuple": tuple(edges), "iterator": iter(edges)}[kind]
+
+
+def _outcome(build, n, items, kind):
+    try:
+        return build(n, _made(items, kind))
+    except InvalidInstanceError as exc:
+        return re.sub(r" at 0x[0-9a-f]+", "", str(exc))
+
+
+def test_construction_matches_the_set_build_on_a_seeded_corpus():
+    """Graph against helpers.reference_graph, the one-pass set build it
+    used for every graph, on shuffled paths, paths with IntEnum ids, n - 1
+    edges that are no path, and malformed edges first, in the middle and
+    last: the same error, or the same edges, path order and sets."""
+    rng = random.Random(2028)
+    cases = list(_edge_lists(rng))
+    assert len(cases) >= 2000
+    seen = set()
+    for n, items in cases:
+        kind = rng.choice(["list", "list", "tuple", "iterator"])
+        ref = _outcome(helpers.reference_graph, n, items, kind)
+        g = _outcome(Graph, n, items, kind)
+        if isinstance(ref, str):
+            assert g == ref, (n, items)
+            seen.add("error")
+            continue
+        try:
+            path = cc.path_order(g)
+        except cc.WrongGraphClassError as exc:
+            path = str(exc)
+        assert (g.n, g.m, g.edges, path) == (n, ref.m, ref.edges, ref.path), (n, items)
+        assert g.path_layout == (None if isinstance(path, str) else path)
+        assert g.adj == ref.adj
+        seen.add("path" if g.path_layout is not None else re.sub(r"\d+", "#", path))
+    assert len(seen) == 6, seen  # an error, a path and each of the four reasons
 
 
 def test_edges_and_m_match_the_normalised_input():
@@ -274,19 +379,40 @@ def test_vertex_count_is_checked_before_allocating():
     assert time.perf_counter() - start < 0.5
 
 
-def test_graph_build_keeps_the_sets_it_validates():
-    """The constructor's neighbour sets are the adjacency: building a graph
-    peaks near what the graph keeps, with no second copy of the sets."""
-    n = 20_000
-    edges = [(i, i + 1) for i in range(n - 1)]
+def _traced_build(n, edges):
+    """The graph, and the bytes it keeps and its build peaked at."""
     tracemalloc.start()
     try:
         g = Graph(n, edges)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert g.m == n - 1
+    return g, kept, peak
+
+
+def test_graph_build_keeps_the_sets_it_validates():
+    """The constructor's neighbour sets are the adjacency: building a graph
+    that is not a path peaks near what the graph keeps, with no second
+    copy of the sets."""
+    n = 20_000
+    g, kept, peak = _traced_build(n, [(i, (i + 1) % n) for i in range(n)])
+    assert g.m == n and g.path_layout is None
     assert peak <= 1.25 * kept, (peak, kept)
+
+
+def test_path_build_keeps_only_its_order():
+    """A path keeps its order and no neighbour sets: under a quarter of
+    what a cycle of the same size keeps, built below the cycle's kept
+    size, and the sets are never built by construction or path_order."""
+    n = 20_000
+    order = random.Random(5).sample(range(n), n)
+    _, cycle_kept, _ = _traced_build(n, [(i, (i + 1) % n) for i in range(n)])
+    g, kept, peak = _traced_build(n, [[u, v] for u, v in zip(order, order[1:])])
+    assert g.m == n - 1
+    assert cc.path_order(g) == tuple(order if order[0] < order[-1] else order[::-1])
+    assert kept < cycle_kept / 4, (kept, cycle_kept)
+    assert peak < cycle_kept, (peak, cycle_kept)
+    assert "adj" not in g.__dict__
 
 
 def test_components_match_union_find_exhaustively():

@@ -8,7 +8,7 @@ import pytest
 
 import ccreconfig
 from ccreconfig import (
-    Graph, Rule, cli, cographs, decompose_cograph, graph, paths, solve_cograph_cs,
+    Graph, Rule, cli, cographs, decompose_cograph, graph, solve_cograph_cs,
 )
 from ccreconfig.cli import main
 from ccreconfig.generators import random_cotree_graph
@@ -31,7 +31,10 @@ def counted(monkeypatch, module, name):
 
 @pytest.mark.parametrize("flags", [[], ["--compressed"], ["--rule", "CS"]])
 def test_cli_path_solve_walks_once(tmp_path, capsys, monkeypatch, flags):
-    walks = counted(monkeypatch, paths, "_walk_path")
+    """The path is walked once, as the Graph is built, and a path solve
+    never builds its neighbour sets."""
+    walks = counted(monkeypatch, graph, "_walk_path")
+    sets = counted(monkeypatch, Graph.adj, "func")
     # the multisets come from the path runs, not a component search
     searches = counted(monkeypatch, graph, "connected_components")
     order = [3, 7, 0, 5, 1, 6, 2, 4]  # a relabeled 8-vertex path
@@ -47,7 +50,7 @@ def test_cli_path_solve_walks_once(tmp_path, capsys, monkeypatch, flags):
     report = json.loads(capsys.readouterr().out)
     assert report["algorithm"] == "path" and code in (0, 1)
     assert len(walks) == 1
-    assert searches == []
+    assert searches == [] and sets == []
 
 
 def test_cli_cograph_solve_decomposes_once(tmp_path, capsys, monkeypatch):
@@ -95,9 +98,10 @@ def test_cli_cograph_solve_builds_the_cotree_through_decompose_cograph(tmp_path,
 
 def _dispatch_calls(tmp_path, capsys, monkeypatch, inst):
     """Solve the instance with auto dispatch; the report's algorithm and
-    the calls made to each class check and to the equal-size solver."""
+    the calls made to each class check and to the equal-size solver.  The
+    path walk runs as the Graph is built, on any n - 1 edges."""
     names = ("_walk_path", "_build_cotree", "is_chordal", "solve_equal_size_cj")
-    modules = (paths, cographs, graph, cli)
+    modules = (graph, cographs, graph, cli)
     calls = {name: counted(monkeypatch, mod, name) for mod, name in zip(modules, names)}
     path = tmp_path / "i.json"
     path.write_text(json.dumps(inst))
@@ -113,7 +117,7 @@ def test_dispatch_runs_only_the_class_checks_it_needs(tmp_path, capsys, monkeypa
     with monkeypatch.context() as m:
         algorithm, calls = _dispatch_calls(tmp_path, capsys, m, dict(star, rule="CJ"))
     assert algorithm == "chordal"
-    assert calls["_build_cotree"] == 0
+    assert calls["_walk_path"] == 1 and calls["_build_cotree"] == 0
     assert calls["is_chordal"] == 0 and calls["solve_equal_size_cj"] == 1
     assert not hasattr(cli, "is_chordal")  # no copy the count would miss
 
@@ -122,13 +126,15 @@ def test_dispatch_runs_only_the_class_checks_it_needs(tmp_path, capsys, monkeypa
         with monkeypatch.context() as m:
             algorithm, calls = _dispatch_calls(tmp_path, capsys, m, dict(p5, rule=rule))
         assert algorithm == "oracle"
-        assert calls["_walk_path"] == calls["_build_cotree"] == calls["is_chordal"] == 0
+        assert calls["_walk_path"] == 1  # the walk of construction, none added
+        assert calls["_build_cotree"] == calls["is_chordal"] == 0
 
     g = threshold_graph(9)
     inst = {"graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
             "A": [0, 2, 4], "B": [0, 2, 6], "rule": "CS1"}
     with monkeypatch.context() as m:
         algorithm, calls = _dispatch_calls(tmp_path, capsys, m, inst)
+    assert g.m != g.n - 1  # so construction does not walk
     assert algorithm == "cograph" and calls["_walk_path"] == 0
 
 

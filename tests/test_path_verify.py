@@ -141,6 +141,61 @@ def test_occupancy_verifier_matches_the_oracle_reference():
     assert len(seen) == 3 * len(ALL_RULES) and min(seen.values()) >= 10, seen
 
 
+def test_path_host_verify_builds_neighbour_sets_only_to_slide(tmp_path, monkeypatch):
+    """On relabelled paths, which keep only their path order until the
+    neighbour sets are read, full states and [source, target] jumps under
+    CJ, CS, CS1 and TS, by the library and in `verify` reports, get the
+    verdicts of helpers.verify_bf on a twin graph.  Under CJ components
+    are runs of the order and the host's sets are never built; a slide
+    builds them on first read, to ask whether two runs touch."""
+
+    def built(g):
+        raise AssertionError("verify built the neighbour sets")
+
+    rng = random.Random(2029)
+    seen = Counter()
+    for case in range(1200):
+        n = rng.randint(2, 9)
+        g = relabelled_path(rng, n)
+        twin = Graph(n, g.edges)  # the reference and the oracle read its sets
+        rule = rng.choice([Rule.CJ, Rule.CS, Rule.CS1, Rule.TS])
+        a = rng.sample(range(n), rng.randint(1, n - 1))
+        want = cc_multiset(twin, a)
+        space = enumerate_states(twin, want)
+        b = space.state_vertices(rng.randrange(len(space)))
+        res = oracle_solve(twin, a, b, rule=rule)
+        states = [list(s) for s in res.states] if res.reachable else [sorted(a), list(b)]
+        jumps = [(sorted(set(u) - set(w)), sorted(set(w) - set(u)))
+                 for u, w in zip(states, states[1:])]
+        if rng.random() < 0.5:
+            states = _edited_states(rng, states, n)
+        if jumps and rng.random() < 0.5:
+            jumps = _edited_jumps(rng, jumps, n)
+        jumped = replayed(states[0], jumps)
+        ref = helpers.verify_bf(twin, states, want, rule.value)
+        got = verify_sequence(g, states, want, rule)
+        assert (None if got else (got.index, got.condition)) == ref, (g.edges, states, rule)
+        ref_jumps = helpers.verify_bf(twin, jumped, want, rule.value)
+        got = _verify_jumps(g, states[0], jumps, want, rule)
+        assert (None if got else (got.index, got.condition)) == ref_jumps, (g.edges, jumps)
+        assert rule is not Rule.CJ or "adj" not in g.__dict__
+        seen[ref and ref[1], rule] += 1
+        if case % 10:
+            continue
+        # the same judgements through verify, where A gives the multiset
+        start = cc_multiset(twin, states[0])
+        for report, seq in (({"states": states}, states), ({"moves": jumps}, jumped)):
+            inst = write(tmp_path, "i.json", instance(g, states[0], seq[-1], rule.value))
+            with monkeypatch.context() as m:
+                if rule is Rule.CJ:
+                    m.setattr(Graph.adj, "func", built)
+                code, out, err = verify(inst, write(tmp_path, "r.json", report))
+            verdict = helpers.verify_bf(twin, seq, start, rule.value)
+            assert (None if code == 0 else (out["index"], out["condition"])) == verdict, (
+                g.edges, report, rule, err)
+    assert len(seen) == 3 * 4 and min(seen.values()) >= 10, seen
+
+
 @pytest.mark.parametrize("later, message", [
     ([True, 4], "vertex ids must be ints, got True"),
     ([1.0, 4], "vertex ids must be ints, got 1.0"),
