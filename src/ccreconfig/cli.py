@@ -70,7 +70,7 @@ def _read_json(path: str) -> Any:
 
 def _int_list(value: Any, what: str) -> list[int]:
     """The value itself if it is a JSON list of integers."""
-    if type(value) is not list or not all(type(v) is int for v in value):
+    if type(value) is not list or not set(map(type, value)) <= {int}:
         raise InvalidInstanceError(f"{what} must be a list of integers")
     return value
 
@@ -84,7 +84,7 @@ def _instance_graph(obj: dict) -> Graph:
                 return parse_graph(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise InvalidInstanceError(str(exc)) from None
-    payload = obj.get("graph")
+    payload = obj.pop("graph", None)  # the edge list is freed once the Graph is built
     if not isinstance(payload, dict) or "n" not in payload:
         raise InvalidInstanceError('instance needs "graph" {n, edges} or "graph_file"')
     return Graph(payload["n"], payload.get("edges", []))
@@ -383,8 +383,9 @@ def _cmd_gen(args) -> int:
     else:
         g, a, b = gen_chordal_instance(rng, args.n, size=args.size, count=args.count)
         rule = args.rule or "CJ"
-    # the edges as Graph.edges lists them, made as they are written
-    edges = ((u, v) for u, nbrs in enumerate(g.adj) for v in sorted(nbrs) if u < v)
+    # in Graph.edges' order: a path's from its layout, others' from the sets
+    edges = g.edges if g.path_layout is not None else (
+        (u, v) for u, nbrs in enumerate(g.adj) for v in sorted(nbrs) if u < v)
     _emit({"graph": {"n": g.n, "edges": edges}, "A": a, "B": b,
            "rule": Rule.parse(rule).value, "seed": args.seed})
     return EXIT_YES

@@ -8,10 +8,11 @@ oracle.py, which builds its own neighbour masks for each small search.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, insort
 from collections import deque
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter, lt
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -161,9 +162,13 @@ class Graph:
         order, with its item n before and after: a path's occupancy.
         Built once, since a getter made per read copies the layout into
         two fresh n-long arrays, and a loop of solves then has the heap
-        return and fault in those pages on every call."""
+        return and fault in those pages on every call.  Its ints are made
+        here, one after another in path order: the layout holds the
+        input's, placed wherever the input put them, and reading them
+        all in path order missed the cache: path-200k's library solves
+        ran up to 15 % slower."""
         n = self.n
-        return itemgetter(n, *self.path_layout, n)
+        return itemgetter(n, *array("q", self.path_layout), n)
 
     @cached_property
     def _cotree(self) -> Cotree | None:
@@ -200,17 +205,21 @@ def _walk_path(n: int, edges: list | tuple) -> tuple[int, ...] | None | bool:
     when the n - 1 edges, n >= 2, form a simple path; None otherwise, a
     malformed edge included; False, before reading it, at the first edge
     that is neither a list nor a tuple.  One pass counts each vertex's
-    degree and XORs its neighbour ids, and stops at the first vertex of
-    degree 3.  With every degree at most 2 and 2(n - 1) in all, a vertex
-    of degree 1 means exactly two and none of degree 0, and each
-    component is a path or a cycle (a duplicate edge or a self-loop is
-    one): a walk from one endpoint, stepping to the XOR of its neighbours
-    less the vertex it came from, follows its path to the other, and the
-    edges form a simple path iff it covers all n vertices."""
-    deg = [0] * n
-    nbrs = [0] * n
+    degree in a byte, XORs the indices of its edges into an array, and
+    stops at the first vertex of degree 3.  With every degree at most 2
+    and 2(n - 1) in all, a vertex of degree 1 means exactly two and none
+    of degree 0, and each component is a path or a cycle (a duplicate
+    edge or a self-loop is one): a walk from one endpoint, leaving each
+    vertex by the edge it did not come in by, follows its path to the
+    other, and the edges form a simple path iff it covers all n vertices.
+    It reads each far end from the caller's list, so the layout holds the
+    input's ints: about 26 bytes a vertex in all, the layout's 8 included."""
+    # degrees count from 253: a third edge at a vertex overflows its byte
+    deg = bytearray(b"\xfd") * n
+    link = memoryview(bytearray(8 * n)).cast("q")
+    exact = True
     try:
-        for e in edges:
+        for i, e in enumerate(edges):
             # An edge of another type may be a one-shot iterator, which
             # the caller unpacks once (`_pair`) for this walk and the set
             # build; an int subclass such as an IntEnum id walks as its
@@ -218,29 +227,29 @@ def _walk_path(n: int, edges: list | tuple) -> tuple[int, ...] | None | bool:
             if type(e) is not list and type(e) is not tuple:
                 return False
             u, v = e
-            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+            if type(u) is not int or type(v) is not int or u < 0 or v < 0:
                 if not all(isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
                            for x in (u, v)):
                     return None
-                u, v = int(u), int(v)
+                exact = False
             deg[u] += 1
             deg[v] += 1
-            if deg[u] > 2 or deg[v] > 2:
-                return None
-            nbrs[u] ^= v
-            nbrs[v] ^= u
-    except ValueError:  # a list or tuple that is not a pair
+            link[u] ^= i
+            link[v] ^= i
+        start = deg.index(254)  # degree 1
+        end = deg.index(254, start + 1)
+        # the step past `end` reads edge n - 1, one past the list: an
+        # IndexError when the walk gets there before covering all n vertices
+        link[end] ^= n - 1
+        order, cur, i = [start], start, 0  # edge 0 XORs away at the start
+        for _ in repeat(None, n - 1):
+            i ^= link[cur]
+            u, v = edges[i]
+            cur = v if u == cur else u
+            order.append(cur)
+    except (ValueError, IndexError):  # degree 3, id >= n, not a pair, no end, ended early
         return None
-    if 1 not in deg:
-        return None
-    start = deg.index(1)
-    end = deg.index(1, start + 1)
-    order, prev, cur = [], 0, start  # prev 0 XORs away at the start
-    while cur != end:
-        order.append(cur)
-        prev, cur = cur, nbrs[cur] ^ prev
-    order.append(end)
-    return tuple(order) if len(order) == n else None
+    return tuple(order) if exact else tuple(map(int, order))
 
 
 def path_graph(n: int) -> Graph:

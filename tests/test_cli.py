@@ -1,4 +1,5 @@
 import contextlib
+import enum
 import gc
 import io
 import itertools
@@ -985,6 +986,55 @@ def test_full_state_verify_keeps_no_second_copy_of_the_states(tmp_path):
     code, verified = _traced_peak(["verify", inst, report], out)
     assert code == 0 and json.loads(Path(out).read_text())["length"] == 2000
     assert verified < 1.1 * loaded, (verified, loaded)
+
+
+def test_path_instance_loads_at_the_peak_of_its_json(tmp_path):
+    """A path instance loads within a tenth of what reading its JSON
+    peaks at: the walk makes no int per vertex, and the edge list is
+    freed once the Graph is built, before the subsets are cleaned and
+    their runs found (1.27 times the read with the list kept, 1.42 with
+    a walk of fresh ints as well)."""
+    n = 50_000
+    order = random.Random(7).sample(range(n), n)
+    inst = write(tmp_path, "i.json", {
+        "graph": {"n": n, "edges": [[u, v] for u, v in zip(order, order[1:])]},
+        "A": sorted(order[p] for p in range(n) if p % 4 < 2),
+        "B": sorted(order[p] for p in range(n) if p % 4 in (1, 2)), "rule": "CJ"})
+    tracemalloc.start()
+    try:
+        obj = cli._read_json(inst)
+        read = tracemalloc.get_traced_memory()[1]
+        del obj
+        tracemalloc.reset_peak()
+        held = cli._load_instance(inst, None)
+        loaded = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held[6] is not None  # the runs of a path
+    assert loaded <= 1.1 * read, (loaded, read)
+
+
+class _Id(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("value, ok", [
+    ([], True),
+    ([3, 0, 3, 10**30], True),
+    ([0, True], False),
+    ([1.0], False),
+    ([_Id.ONE], False),
+    ([1, [2]], False),
+    ([1, None], False),
+    ((1, 2), False),
+    ({1: 2}, False),
+])
+def test_int_list_takes_a_list_of_exact_ints_only(value, ok):
+    if ok:
+        assert cli._int_list(value, '"A"') is value
+    else:
+        with pytest.raises(cli.InvalidInstanceError, match='"A" must be a list of integers'):
+            cli._int_list(value, '"A"')
 
 
 def test_verify_replays_no_states(tmp_path, capsys, monkeypatch):

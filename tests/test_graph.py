@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import enum
+import json
 import random
 import re
 import time
@@ -413,6 +414,21 @@ def test_path_build_keeps_only_its_order():
     assert kept < cycle_kept / 4, (kept, cycle_kept)
     assert peak < cycle_kept, (peak, cycle_kept)
     assert "adj" not in g.__dict__
+
+
+def test_parsed_path_keeps_only_its_layout_beyond_the_input():
+    """A path read from json.loads edge lists keeps its layout tuple and
+    nothing more, its items the input's own ints: about 8 bytes a vertex
+    (40 when the walk made an int of its own per vertex).  The walk's
+    bytes, XOR array and order list peak under 32 bytes a vertex (97
+    with lists of neighbour XORs and fresh ints)."""
+    n = 50_000
+    order = random.Random(7).sample(range(n), n)
+    edges = json.loads(json.dumps([[u, v] for u, v in zip(order, order[1:])]))
+    g, kept, peak = _traced_build(n, edges)
+    assert g.path_layout == tuple(order if order[0] < order[-1] else order[::-1])
+    assert kept <= 9 * n, kept / n
+    assert peak < 32 * n, peak / n
 
 
 def test_components_match_union_find_exhaustively():

@@ -53,6 +53,17 @@ def test_cli_path_solve_walks_once(tmp_path, capsys, monkeypatch, flags):
     assert searches == [] and sets == []
 
 
+def test_gen_path_lists_its_edges_without_the_sets(capsys, monkeypatch):
+    """gen writes a path's edges from its layout, in the order Graph.edges
+    lists them, and never builds its neighbour sets."""
+    sets = counted(monkeypatch, Graph.adj, "func")
+    assert main(["gen", "--kind", "path", "--n", "300", "--seed", "3"]) == 0
+    assert sets == []
+    edges = json.loads(capsys.readouterr().out)["graph"]["edges"]
+    assert edges == sorted(edges) and all(u < v for u, v in edges)
+    assert Graph(300, edges).path_layout is not None
+
+
 def test_cli_cograph_solve_decomposes_once(tmp_path, capsys, monkeypatch):
     builds = counted(monkeypatch, cographs, "_build_cotree")
     g = threshold_graph(9)
