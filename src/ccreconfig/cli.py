@@ -90,7 +90,7 @@ def _instance_graph(obj: dict) -> Graph:
     return Graph(payload["n"], payload.get("edges", []))
 
 
-def _load_instance(path: str, rule_flag: str | None, verifying: bool = False):
+def _load_instance(path: str, rule_flag: str | None):
     obj = _read_json(path)
     if not isinstance(obj, dict):
         raise InvalidInstanceError("instance must be a JSON object")
@@ -105,10 +105,10 @@ def _load_instance(path: str, rule_flag: str | None, verifying: bool = False):
     rule = Rule.parse(rule_name)
     declared = obj.get("multiset")
     runs = None
-    if (verifying or rule in SOLVERS["path"][0]) and is_path_graph(g):
+    if is_path_graph(g):
         # on a path the runs of positions are the components; the path
-        # solver decides from the same runs, and verify needs no graph
-        # search under any rule
+        # solver decides from the same runs, and no command searches
+        # the graph for them
         runs = _path_runs(g, a), _path_runs(g, b)
         ma, mb = (SizeMultiset(size for _, size in r) for r in runs)
     else:
@@ -200,8 +200,7 @@ def _run_path(g, a, b, rule, args, runs):
 # algorithm -> (rules it decides, runner returning the solver's Result).
 # The path and chordal runners return moves only; _cmd_solve replays
 # them into the full states it writes.  A runner's last argument is the
-# pair of position runs _load_instance took on a path host for a rule
-# the path solver decides, else None.
+# pair of position runs _load_instance took on a path host, else None.
 # Each solver raises WrongGraphClassError or InvalidInstanceError outside
 # its class, so `auto` tries the entries whose rules hold the rule, in
 # order, until one decides.  Runners look the solvers up by module name
@@ -313,7 +312,7 @@ def _cmd_verify(args) -> int:
     seq = _read_json(args.sequence)
     # the rule comes from --rule, else the report, else the instance
     named = seq.get("rule") if isinstance(seq, dict) and args.rule is None else args.rule
-    g, a, b, rule, ma, mb, _ = _load_instance(args.instance, named, verifying=True)
+    g, a, b, rule, ma, mb, _ = _load_instance(args.instance, named)
     states, jumps = seq, None
     if isinstance(seq, dict) and "states" in seq:
         states = seq.pop("states")

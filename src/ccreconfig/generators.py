@@ -11,7 +11,6 @@ construction.
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from .errors import InvalidInstanceError
 from .graph import Graph, cc_multiset, path_graph

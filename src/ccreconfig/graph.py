@@ -12,7 +12,7 @@ from array import array
 from bisect import bisect_left, insort
 from collections import deque
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import itemgetter, lt
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -62,10 +62,9 @@ class Graph:
     order on first read of `adj`.  Every other graph keeps the very sets
     the constructor validated; its `path_layout` is None unless n <= 1.
     A list or tuple of edges is read in place; any other iterable is read
-    once, holding at most n edges to tell whether they can be a path, and
-    all n - 1 of them when they can.  The cotree is computed on first use
-    and cached on the instance, and so is the oracle's last state space,
-    in one slot that a space for another multiset replaces.
+    into a list first.  The cotree is computed on first use and cached
+    on the instance, and so is the oracle's last state space, in one slot
+    that a space for another multiset replaces.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -75,19 +74,14 @@ class Graph:
             raise InvalidInstanceError("vertex count must be non-negative")
         _check_vertex_count(n)
         self.n = n
-        sized = type(edges) is list or type(edges) is tuple
-        if not sized:
+        if type(edges) is not list and type(edges) is not tuple:
             try:
                 pairs = iter(edges)
             except TypeError:
                 raise InvalidInstanceError(f"edge list {edges!r} cannot be iterated") from None
-            # only n - 1 edges can be a path: hold at most n to tell, and
-            # stream the rest of a longer iterable into the set build
-            head = list(islice(pairs, n))
-            sized = len(head) == n - 1
-            edges = head if sized else chain(head, pairs)
+            edges = list(pairs)
         layout = None
-        if sized and n > 1 and len(edges) == n - 1:
+        if n > 1 and len(edges) == n - 1:
             layout = _walk_path(n, edges)
             if layout is False:
                 edges = list(map(_pair, edges))
@@ -142,19 +136,6 @@ class Graph:
         if order is not None:
             return tuple(sorted((u, v) if u < v else (v, u) for u, v in zip(order, order[1:])))
         return tuple((u, v) for u, nbrs in enumerate(self.adj) for v in sorted(nbrs) if u < v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return v in self.adj[u]
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self.adj[v])
-
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise InvalidInstanceError(f"vertex {v} out of range for n={self.n}")
 
     @cached_property
     def _by_position(self) -> itemgetter:
@@ -331,7 +312,8 @@ def _clean_subset(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
         for v in vs:
             if isinstance(v, bool) or not isinstance(v, int):
                 raise InvalidInstanceError(f"vertex ids must be ints, got {v!r}")
-            g._check_vertex(v)
+            if not (0 <= v < g.n):
+                raise InvalidInstanceError(f"vertex {v} out of range for n={g.n}")
             if v == prev:
                 raise InvalidInstanceError(f"duplicate vertex {v} in subset")
             prev = v

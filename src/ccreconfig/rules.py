@@ -98,45 +98,41 @@ def _placed(occ: bytearray, moves: Iterable[tuple[int, int, int]]) -> Iterator[t
         yield mv
 
 
-def _held_component(g: Graph, have: set[int], v: int, track: tuple | None) -> set[int]:
-    """The component of v in have: on a path, the run around v's index in
-    the occupancy, read off the layout; elsewhere a graph search."""
-    if track is None:
-        return set(_component(g, have, v, set()))
-    occ, at, layout = track
-    i = at[v]
-    return set(layout[occ.rfind(0, 0, i):occ.find(0, i) - 1])
-
-
-def _one_move(g: Graph, have: set[int], gone: set[int], new: set[int], rule: Rule,
-              track: tuple | None = None) -> bool:
+def _one_move(g: Graph, have: set[int], gone: set[int], new: set[int], rule: Rule) -> bool:
     """Apply a move to the state have, dropping gone (all in have) and
     adding new (none in have), and say whether it is one move under the
     rule.  A component move swaps the component c of the old state that
     loses a vertex for the component c2 of the new one that gains one,
-    so it finds c and c2 only; a slide then asks whether they touch.
-    On a path, track is (occupancy, vertex -> index, layout), kept in
-    step with have, and c and c2 are runs of it."""
+    so it finds c and c2 only; a slide then asks whether they touch."""
     tokens = rule is Rule.TJ or rule is Rule.TS
-    c = None if tokens or not gone else _held_component(g, have, next(iter(gone)), track)
+    c = None if tokens or not gone else set(_component(g, have, next(iter(gone)), set()))
     have -= gone
     have |= new
-    if track is not None:
-        occ, at, _ = track
-        for v in gone:
-            occ[at[v]] = 0
-        for v in new:
-            occ[at[v]] = 1
     if tokens:
         return len(gone) == 1 == len(new) and (
             rule is Rule.TJ or not g.adj[next(iter(gone))].isdisjoint(new))
     if not c or not new:
         return False
-    c2 = _held_component(g, have, next(iter(new)), track)
+    c2 = set(_component(g, have, next(iter(new)), set()))
     if not (len(c) == len(c2) and gone <= c and new <= c2 and c - gone <= c2 and c2 - new <= c):
         return False
     # a slide must touch, and a single-vertex slide moves one vertex
     return rule is Rule.CJ or (rule is Rule.CS or len(gone) == 1) and _touch(g, c, c2)
+
+
+def _shift(size: int, d: int, free: bool, rule: Rule) -> bool:
+    """Whether a whole run of size path positions shifted by d onto free
+    ones, landing with both flanks free iff free, is one move: it moves
+    min(d, size) vertices, so a token jump needs d or size to be 1 and a
+    token slide both; a component move needs free flanks, a slide runs
+    that touch (d <= size) and a single-vertex slide d == 1."""
+    if size < 1 or d < 1:
+        return False
+    if rule is Rule.TJ:
+        return d == 1 or size == 1
+    if rule is Rule.TS:
+        return d == 1 == size
+    return free and (rule is Rule.CJ or d <= size and (rule is Rule.CS or d == 1))
 
 
 def adjacent(g: Graph, u: Iterable[int], w: Iterable[int], rule: Rule | str) -> bool:
@@ -198,11 +194,12 @@ def verify_sequence(
 ) -> VerifyResult:
     """Check a full state sequence: every state must have the required
     component-size multiset and consecutive states must be one move
-    apart.  Each state is made one set, checked for valid vertices on
-    it, and compared with the state before; the move between them, what
-    one drops and the other adds, is checked as _verify_jumps checks a
-    jump.  Only the previous state's set is kept.  Every state is read
-    before a verdict, so an invalid vertex anywhere raises.
+    apart.  Each state is read once and its types checked, then made one
+    set, checked for valid vertices on it, and compared with the state
+    before; the move between them, what one drops and the other adds, is
+    checked as _verify_jumps checks a jump.  Only the previous state's
+    set is kept.  Every state is read before a verdict, so an invalid
+    vertex anywhere raises.
 
     Scan order is multiset-of-state before adjacency-to-predecessor, so
     a state that breaks both is reported as a multiset violation at its
@@ -210,7 +207,11 @@ def verify_sequence(
     first state of the offending pair.
     """
     rule = Rule.parse(rule)
-    steps = _state_steps(g, states)
+    # each state is read once and its types checked before it is made a
+    # set: _clean_subset words a fault, and passes int subclasses on
+    states = (s if isinstance(s, Collection) else list(s) for s in states)
+    steps = _state_steps(g, (s if list(map(type, s)).count(int) == len(s)
+                             else _clean_subset(g, s) for s in states))
     _, start = next(steps, (None, None))
     if start is None:
         raise InvalidInstanceError("cannot verify an empty sequence")
@@ -225,22 +226,41 @@ def verify_sequence(
 
 def _state_steps(g: Graph, states: Iterable[Collection[int]]) -> Iterator[tuple[set, set]]:
     """(gone, new) from each state to the next, the first state coming
-    as (empty, its set).  Each state is made one set once, its types
-    checked first so no unhashable vertex reaches the set; a repeat
-    shrinks the set, and only vertices new to the state need a range
-    check.  _clean_subset words a fault."""
+    as (empty, its set), from states whose vertices are ints by type.
+    Each state is made one set once; a repeat shrinks the set, and only
+    vertices new to the state need a range check.  _clean_subset words
+    a fault."""
     n, prev = g.n, set()
     for s in states:
-        if not isinstance(s, Collection):
-            s = list(s)  # read once
-        if list(map(type, s)).count(int) != len(s):
-            _clean_subset(g, s)  # raises, but passes int subclasses
         cur = set(s)
         new = cur - prev
         if len(cur) != len(s) or new and (min(new) < 0 or max(new) >= n):
             _clean_subset(g, s)
         yield prev - cur, new
         prev = cur
+
+
+def _flip(occ: bytearray, off: list[int], on: list[int], rule: Rule) -> bool:
+    """Empty the taken occupancy indices off and fill the free ones on,
+    both ascending, and say whether that is one move under the rule: a
+    token flips one index each way; a component move empties part of the
+    run [l1, r1) around off[0] and fills part of the run [l2, r2) it
+    makes around on[0].  off misses the new run and on the old, so with
+    runs of one size they are all the min(size, d) indices that a shift
+    by d = |l1 - l2| changes."""
+    l1, r1 = (occ.rfind(0, 0, off[0]) + 1, occ.find(0, off[0])) if off else (0, 0)
+    for p in off:
+        occ[p] = 0
+    for p in on:
+        occ[p] = 1
+    if rule is Rule.TJ or rule is Rule.TS:
+        return len(off) == 1 == len(on) and _shift(1, abs(off[0] - on[0]), True, rule)
+    if not off or not on:
+        return False
+    l2, r2 = occ.rfind(0, 0, on[0]) + 1, occ.find(0, on[0])
+    size, d = r1 - l1, abs(l1 - l2)
+    return (r2 - l2 == size and off[-1] < r1 and on[-1] < r2
+            and len(off) == len(on) == min(size, d) and _shift(size, d, True, rule))
 
 
 def _verify_jumps(g: Graph, start: Iterable[int], jumps: Iterable[tuple],
@@ -251,20 +271,22 @@ def _verify_jumps(g: Graph, start: Iterable[int], jumps: Iterable[tuple],
     target vertices missing.  want None is the start's multiset.  A
     legal component move keeps the multiset, so whole-state components
     are found only for the start, under TJ and TS, and after a failed
-    move; on a path they are the runs of an occupancy kept in step with
-    the set, and no graph is searched.  Every jump is read before the
-    verdict, so a bad vertex in a later state still raises."""
+    move.  On a path host the set has an occupancy of path positions
+    kept in step with it: a move is judged by _flip on the indices it
+    changes, whole-state components are its runs, and no graph is read.
+    Every jump is read before the verdict, so a bad vertex in a later
+    state still raises."""
     tokens = rule is Rule.TJ or rule is Rule.TS
     have = set(start)
-    track = None
-    if g.path_layout is not None:
+    layout = g.path_layout
+    if layout is not None:
         at = [0] * g.n
-        for i, v in enumerate(g.path_layout, 1):
+        for i, v in enumerate(layout, 1):
             at[v] = i
-        track = _occupancy(g, have), at, g.path_layout
+        occ = _occupancy(g, have)
 
     def sizes():
-        return cc_multiset(g, have) if track is None else _run_sizes(track[0])
+        return cc_multiset(g, have) if layout is None else _run_sizes(occ)
 
     verdict = VerifyResult(True)
     if want is None:
@@ -275,7 +297,13 @@ def _verify_jumps(g: Graph, start: Iterable[int], jumps: Iterable[tuple],
         if not verdict:
             continue  # the rest is read only for its vertices
         dst = set(dst)
-        moved = _one_move(g, have, have.intersection(src) - dst, dst - have, rule, track)
+        gone, new = have.intersection(src) - dst, dst - have
+        if layout is None:
+            moved = _one_move(g, have, gone, new, rule)
+        else:
+            have ^= gone | new  # gone lies in have, new outside it
+            moved = _flip(occ, sorted(map(at.__getitem__, gone)),
+                          sorted(map(at.__getitem__, new)), rule)
         if (tokens or not moved) and sizes() != want:
             verdict = VerifyResult(False, i, "multiset")
         elif not moved:
@@ -290,26 +318,15 @@ def _verify_path_moves(g: Graph, a: Iterable[int], b: Iterable[int],
     on one occupancy: every move must pass _placed, then the last state
     must be b ("endpoints" at index 0), then the first bad move is
     reported as _verify_jumps reports it.  A placed move lifts a whole
-    run onto free positions; as a jump it moves min(d, size) vertices,
-    d = |src - dst|, so a token jump needs d or size to be 1 and a token
-    slide both, and a component move needs both flanks of its new run
-    free, a slide d <= size and a single-vertex slide d == 1."""
+    run onto free positions, so _shift judges it, told whether both
+    flanks of the landed run are free."""
     tokens = rule is Rule.TJ or rule is Rule.TS
     occ = _occupancy(g, a)
     verdict = VerifyResult(True)
     for i, (size, src, dst) in enumerate(_placed(occ, moves), 1):
         if not verdict:
             continue  # the rest is read only for its own checks
-        d = abs(src - dst)
-        if size < 1 or d < 1:
-            moved = False
-        elif rule is Rule.TJ:
-            moved = d == 1 or size == 1
-        elif rule is Rule.TS:
-            moved = d == 1 == size
-        else:
-            moved = occ[dst] == occ[dst + size + 1] == 0 and (
-                rule is Rule.CJ or d <= size and (rule is Rule.CS or d == 1))
+        moved = _shift(size, abs(src - dst), occ[dst] == occ[dst + size + 1] == 0, rule)
         if (tokens or not moved) and _run_sizes(occ) != want:
             verdict = VerifyResult(False, i, "multiset")
         elif not moved:
