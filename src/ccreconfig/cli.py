@@ -40,14 +40,15 @@ from .oracle import (
 )
 from .paths import (
     CompressedMove,
-    _path_runs,
     _solve_cj,
     _solve_cs,
     _vertex_jumps,
     is_path_graph,
     path_order,
 )
-from .rules import Rule, VerifyResult, _state_steps, _verify_jumps, _verify_path_moves
+from .rules import (
+    Rule, VerifyResult, _occupancy, _runs, _state_steps, _verify_jumps, _verify_path_moves,
+)
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -109,7 +110,7 @@ def _load_instance(path: str, rule_flag: str | None):
         # on a path the runs of positions are the components; the path
         # solver decides from the same runs, and no command searches
         # the graph for them
-        runs = _path_runs(g, a), _path_runs(g, b)
+        runs = _runs(_occupancy(g, a)), _runs(_occupancy(g, b))
         ma, mb = (SizeMultiset(size for _, size in r) for r in runs)
     else:
         ma, mb = cc_multiset(g, a), cc_multiset(g, b)
@@ -324,7 +325,7 @@ def _cmd_verify(args) -> int:
             moves = [CompressedMove.from_json(mv) for mv in moves]
             path_order(g)  # raises if the host is not a path
             # checked in positions, endpoints before the first bad move
-            return _verdict(_verify_path_moves(g, a, b, moves, ma, rule), rule, len(moves))
+            return _verdict(_verify_path_moves(g, a, b, moves, rule), rule, len(moves))
         jumps = [_jump(mv) for mv in moves]
     elif not isinstance(seq, list):
         raise InvalidInstanceError('sequence needs "states", "moves", or a list')
@@ -361,7 +362,8 @@ def _verdict(outcome: VerifyResult, rule: Rule, length: int) -> int:
     if outcome:
         _emit({"ok": True, "rule": rule.value, "length": length})
         return EXIT_YES
-    _emit({"ok": False, "index": outcome.index, "condition": outcome.condition})
+    _emit({"ok": False, "rule": rule.value, "index": outcome.index,
+           "condition": outcome.condition})
     return EXIT_NO
 
 

@@ -15,12 +15,11 @@ after).
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidInstanceError, WrongGraphClassError
 from .graph import Graph, _clean_subset, _replay_jumps
-from .rules import Result, Rule, _occupancy, _placed
+from .rules import Result, Rule, _occupancy, _placed, _runs
 
 __all__ = [
     "path_order",
@@ -54,14 +53,6 @@ def path_order(g: Graph) -> tuple[int, ...]:
 
 def is_path_graph(g: Graph) -> bool:
     return g.path_layout is not None
-
-
-def _path_runs(g: Graph, vertices: Iterable[int]) -> list[tuple[int, int]]:
-    """Components of cleaned vertices on the path g, left to right, as
-    (leftmost position, size): the runs of their position occupancy.
-    O(n), no sort and no lookup of a vertex's position."""
-    return [(m.start() - 1, m.end() - m.start())
-            for m in re.finditer(rb"\x01+", _occupancy(g, vertices))]
 
 
 def _tagged(profile: Iterable[int]) -> list[tuple[int, int]]:
@@ -113,8 +104,7 @@ def solve_path_cs(
     """Component slides on a path: feasible iff the two profiles are
     literally equal; the witness is a shortest one."""
     path_order(g)  # raises if g is not a path
-    return _solve_cs(_path_runs(g, _clean_subset(g, a)), _path_runs(g, _clean_subset(g, b)),
-                     want_moves)
+    return _solve_cs(*(_runs(_occupancy(g, _clean_subset(g, s))) for s in (a, b)), want_moves)
 
 
 def _solve_cs(
@@ -157,8 +147,7 @@ def solve_path_cj(
     """Component jumps on a path: sort the profile by bubble sort, three
     jumps per swapped pair, using the right buffer as parking space."""
     path_order(g)  # raises if g is not a path
-    return _solve_cj(g.n, _path_runs(g, _clean_subset(g, a)), _path_runs(g, _clean_subset(g, b)),
-                     want_moves)
+    return _solve_cj(g.n, *(_runs(_occupancy(g, _clean_subset(g, s))) for s in (a, b)), want_moves)
 
 
 def _solve_cj(

@@ -15,6 +15,7 @@ multisets; the token rules relate any subsets differing in one vertex.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -74,9 +75,10 @@ def _occupancy(g: Graph, vertices: Iterable[int]) -> bytearray:
     return bytearray(g._by_position(inside))
 
 
-def _run_sizes(occ: bytearray) -> SizeMultiset:
-    """The component sizes of an occupancy: the lengths of its runs."""
-    return SizeMultiset(len(run) for run in occ.split(b"\0") if run)
+def _runs(occ: bytearray) -> list[tuple[int, int]]:
+    """The components of an occupancy's state, left to right, as
+    (leftmost path position, size): the runs of occ."""
+    return [(m.start() - 1, m.end() - m.start()) for m in re.finditer(rb"\x01+", occ)]
 
 
 def _placed(occ: bytearray, moves: Iterable[tuple[int, int, int]]) -> Iterator[tuple]:
@@ -120,19 +122,19 @@ def _one_move(g: Graph, have: set[int], gone: set[int], new: set[int], rule: Rul
     return rule is Rule.CJ or (rule is Rule.CS or len(gone) == 1) and _touch(g, c, c2)
 
 
-def _shift(size: int, d: int, free: bool, rule: Rule) -> bool:
+def _shift(size: int, d: int, rule: Rule) -> bool:
     """Whether a whole run of size path positions shifted by d onto free
-    ones, landing with both flanks free iff free, is one move: it moves
-    min(d, size) vertices, so a token jump needs d or size to be 1 and a
-    token slide both; a component move needs free flanks, a slide runs
-    that touch (d <= size) and a single-vertex slide d == 1."""
+    ones, the multiset kept, is one move: it moves min(d, size)
+    vertices, so a token jump needs d or size to be 1 and a token slide
+    both; a component slide needs runs that touch (d <= size) and a
+    single-vertex slide d == 1."""
     if size < 1 or d < 1:
         return False
     if rule is Rule.TJ:
         return d == 1 or size == 1
     if rule is Rule.TS:
         return d == 1 == size
-    return free and (rule is Rule.CJ or d <= size and (rule is Rule.CS or d == 1))
+    return rule is Rule.CJ or d <= size and (rule is Rule.CS or d == 1)
 
 
 def adjacent(g: Graph, u: Iterable[int], w: Iterable[int], rule: Rule | str) -> bool:
@@ -254,39 +256,40 @@ def _flip(occ: bytearray, off: list[int], on: list[int], rule: Rule) -> bool:
     for p in on:
         occ[p] = 1
     if rule is Rule.TJ or rule is Rule.TS:
-        return len(off) == 1 == len(on) and _shift(1, abs(off[0] - on[0]), True, rule)
+        return len(off) == 1 == len(on) and _shift(1, abs(off[0] - on[0]), rule)
     if not off or not on:
         return False
     l2, r2 = occ.rfind(0, 0, on[0]) + 1, occ.find(0, on[0])
     size, d = r1 - l1, abs(l1 - l2)
     return (r2 - l2 == size and off[-1] < r1 and on[-1] < r2
-            and len(off) == len(on) == min(size, d) and _shift(size, d, True, rule))
+            and len(off) == len(on) == min(size, d) and _shift(size, d, rule))
 
 
 def _verify_jumps(g: Graph, start: Iterable[int], jumps: Iterable[tuple],
                   want: SizeMultiset | None, rule: Rule) -> VerifyResult:
     """verify_sequence's checks on the states that (source, target) jumps
-    make from a valid start, applied to one set as the replay applies
+    make from a valid start, applied to one state as the replay applies
     them: drop the source vertices held and not targeted, add the valid
     target vertices missing.  want None is the start's multiset.  A
     legal component move keeps the multiset, so whole-state components
     are found only for the start, under TJ and TS, and after a failed
-    move.  On a path host the set has an occupancy of path positions
-    kept in step with it: a move is judged by _flip on the indices it
-    changes, whole-state components are its runs, and no graph is read.
+    move.  On a path host the state is only an occupancy of path
+    positions: a jump is mapped to the indices it changes for _flip to
+    judge, whole-state components are its runs, and no graph is read.
     Every jump is read before the verdict, so a bad vertex in a later
     state still raises."""
     tokens = rule is Rule.TJ or rule is Rule.TS
-    have = set(start)
     layout = g.path_layout
-    if layout is not None:
-        at = [0] * g.n
+    if layout is None:
+        have = set(start)
+    else:
+        n, at = g.n, [0] * g.n
         for i, v in enumerate(layout, 1):
             at[v] = i
-        occ = _occupancy(g, have)
+        occ = _occupancy(g, start)
 
     def sizes():
-        return cc_multiset(g, have) if layout is None else _run_sizes(occ)
+        return cc_multiset(g, have) if layout is None else SizeMultiset(s for _, s in _runs(occ))
 
     verdict = VerifyResult(True)
     if want is None:
@@ -296,14 +299,14 @@ def _verify_jumps(g: Graph, start: Iterable[int], jumps: Iterable[tuple],
     for i, (src, dst) in enumerate(jumps, 1):
         if not verdict:
             continue  # the rest is read only for its vertices
-        dst = set(dst)
-        gone, new = have.intersection(src) - dst, dst - have
         if layout is None:
-            moved = _one_move(g, have, gone, new, rule)
+            dst = set(dst)
+            moved = _one_move(g, have, have.intersection(src) - dst, dst - have, rule)
         else:
-            have ^= gone | new  # gone lies in have, new outside it
-            moved = _flip(occ, sorted(map(at.__getitem__, gone)),
-                          sorted(map(at.__getitem__, new)), rule)
+            on = set(map(at.__getitem__, dst))
+            # sources are not range-checked, and at[-1] is vertex n - 1's index
+            off = {at[v] for v in src if 0 <= v < n and occ[at[v]]} - on
+            moved = _flip(occ, sorted(off), sorted([p for p in on if not occ[p]]), rule)
         if (tokens or not moved) and sizes() != want:
             verdict = VerifyResult(False, i, "multiset")
         elif not moved:
@@ -312,24 +315,22 @@ def _verify_jumps(g: Graph, start: Iterable[int], jumps: Iterable[tuple],
 
 
 def _verify_path_moves(g: Graph, a: Iterable[int], b: Iterable[int],
-                       moves: Iterable[tuple[int, int, int]], want: SizeMultiset,
-                       rule: Rule) -> VerifyResult:
-    """verify's check of position moves from a (multiset want) on a path,
-    on one occupancy: every move must pass _placed, then the last state
-    must be b ("endpoints" at index 0), then the first bad move is
-    reported as _verify_jumps reports it.  A placed move lifts a whole
-    run onto free positions, so _shift judges it, told whether both
-    flanks of the landed run are free."""
-    tokens = rule is Rule.TJ or rule is Rule.TS
+                       moves: Iterable[tuple[int, int, int]], rule: Rule) -> VerifyResult:
+    """verify's check of position moves from a on a path, on one
+    occupancy: every move must pass _placed, then the last state must be
+    b ("endpoints" at index 0), then the first bad move is reported as
+    _verify_jumps reports it.  A placed move lifts a whole run onto free
+    positions, so it keeps the multiset iff it moves nothing (size 0) or
+    both flanks of the landed run are free, and _shift judges the rest:
+    no move reads the state beyond those two flanks."""
     occ = _occupancy(g, a)
     verdict = VerifyResult(True)
     for i, (size, src, dst) in enumerate(_placed(occ, moves), 1):
         if not verdict:
             continue  # the rest is read only for its own checks
-        moved = _shift(size, abs(src - dst), occ[dst] == occ[dst + size + 1] == 0, rule)
-        if (tokens or not moved) and _run_sizes(occ) != want:
+        if size and (occ[dst] or occ[dst + size + 1]):
             verdict = VerifyResult(False, i, "multiset")
-        elif not moved:
+        elif not _shift(size, abs(src - dst), rule):
             verdict = VerifyResult(False, i - 1, "adjacency")
     if occ != _occupancy(g, b):
         return VerifyResult(False, 0, "endpoints")

@@ -222,7 +222,7 @@ def test_verify_round_trip(tmp_path, capsys):
     rep = write(tmp_path, "bad.json", report)
     code, outcome, _ = run(capsys, ["verify", inst, rep])
     assert code == 1
-    assert outcome == {"ok": False, "index": 0, "condition": "adjacency"}
+    assert outcome == {"ok": False, "rule": "CJ", "index": 0, "condition": "adjacency"}
 
 
 def test_verify_compressed_and_endpoints(tmp_path, capsys):
@@ -295,7 +295,7 @@ def test_verify_multiset_violation(tmp_path, capsys):
     )
     code, outcome, _ = run(capsys, ["verify", inst, seq])
     assert code == 1
-    assert outcome == {"ok": False, "index": 1, "condition": "multiset"}
+    assert outcome == {"ok": False, "rule": "CJ", "index": 1, "condition": "multiset"}
 
 
 def test_oracle_subcommand(tmp_path, capsys):
@@ -602,10 +602,11 @@ def test_verify_replays_jumps_as_set_updates(tmp_path, capsys):
         ([[src + src, dst + dst[::-1]], [src1, dst1], last], ok),
         ([[src, dst + [last[0][0]]], [src1, dst1], last], ok),
         ([[src, []], [[], dst], [src1, dst1], last],
-         {"ok": False, "index": 1, "condition": "multiset"}),
+         {"ok": False, "rule": "CJ", "index": 1, "condition": "multiset"}),
         ([[src, dst + [free]], [src1 + [free], dst1], last],
-         {"ok": False, "index": 1, "condition": "multiset"}),
-        ([[src + src1, dst + dst1], last], {"ok": False, "index": 0, "condition": "adjacency"}),
+         {"ok": False, "rule": "CJ", "index": 1, "condition": "multiset"}),
+        ([[src + src1, dst + dst1], last],
+         {"ok": False, "rule": "CJ", "index": 0, "condition": "adjacency"}),
     ]
     for moves, want in cases:
         code, outcome, _ = run(capsys, ["verify", path,

@@ -353,14 +353,104 @@ def test_compressed_path_reports_match_the_reference(tmp_path):
                                             report, *flags)
                 reports += 1
                 if sorted(states[-1]) != end:
-                    want_out = {"ok": False, "index": 0, "condition": "endpoints"}
+                    want_out = {"ok": False, "rule": checked.value, "index": 0,
+                                "condition": "endpoints"}
                 else:
                     ref = helpers.verify_bf(g, states, want, checked.value)
                     want_out = ({"ok": True, "rule": checked.value, "length": len(variant)}
                                 if ref is None
-                                else {"ok": False, "index": ref[0], "condition": ref[1]})
+                                else {"ok": False, "rule": checked.value, "index": ref[0],
+                                      "condition": ref[1]})
                 assert (code, outcome, err) == (0 if want_out["ok"] else 1, want_out, ""), (
                     g.edges, a, end, variant, flags)
                 seen[want_out.get("condition", "ok")] += 1
     assert set(seen) == {"ok", "endpoints", "adjacency", "multiset", "invalid"}, seen
     assert min(seen.values()) >= 20, seen
+
+
+# ---------------------------------------------------------------------------
+# verify: what a move reads
+
+@pytest.mark.parametrize("on_path", [True, False], ids=["path", "non-path"])
+def test_out_of_range_sources_are_ignored(tmp_path, on_path):
+    """A [source, target] jump whose sources hold -1 or n gets the
+    verdict of the same jump without them, from _verify_jumps and from
+    verify: a source is dropped only while it is held, and no vertex
+    outside 0 .. n - 1 ever is.  On a path host the source -1 must not
+    stand for vertex n - 1, which the cases often hold."""
+    rng = random.Random(2031 + on_path)
+    seen = Counter()
+    for case in range(400):
+        n = rng.randint(3, 9)
+        g = relabelled_path(rng, n) if on_path else helpers.random_graph(rng, n)
+        rule = rng.choice(ALL_RULES)
+        a = sorted(set(rng.sample(range(n), rng.randint(1, n - 2))) | {n - 1})
+        want = cc_multiset(g, a)
+        space = enumerate_states(g, want)
+        b = space.state_vertices(rng.randrange(len(space)))
+        res = oracle_solve(g, a, b, rule=rule)
+        states = [list(s) for s in res.states] if res.reachable else [a, list(b)]
+        jumps = [[sorted(set(u) - set(w)), sorted(set(w) - set(u))]
+                 for u, w in zip(states, states[1:])]
+        if jumps and rng.random() < 0.5:
+            jumps = _edited_jumps(rng, jumps, n)
+        if not jumps:
+            continue
+        bad = [[list(src), dst] for src, dst in jumps]
+        for src, _ in rng.sample(bad, rng.randint(1, len(bad))):
+            src.insert(rng.randint(0, len(src)), rng.choice([-1, n]))
+        ref = helpers.verify_bf(g, replayed(a, jumps), want, rule.value)
+        for moves in (jumps, bad):
+            got = _verify_jumps(g, a, moves, want, rule)
+            assert (None if got else (got.index, got.condition)) == ref, (g.edges, moves, rule)
+        seen[ref and ref[1]] += 1
+        if case % 8:
+            continue
+        inst = write(tmp_path, "i.json", instance(g, a, replayed(a, jumps)[-1], rule.value))
+        clean, dirty = (verify(inst, write(tmp_path, "r.json", {"moves": moves}))
+                        for moves in (jumps, bad))
+        assert clean == dirty, (g.edges, bad, rule)
+    assert set(seen) == {None, "multiset", "adjacency"}, seen
+
+
+def test_compressed_token_verify_reads_no_runs_per_move(tmp_path, monkeypatch):
+    """A compressed path report keeps the multiset iff each landed run
+    has free flanks, so verify reads the runs of A and B as it loads the
+    instance and never again, under CS as under TS.  The witness: k
+    singletons at 0, 4, 8, ... each slid two positions right, 2k unit
+    moves that are token slides as well."""
+    n, k = 400, 100
+    a = list(range(0, 4 * k, 4))
+    g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+    inst = write(tmp_path, "i.json", instance(g, a, [v + 2 for v in a], "CS"))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["solve", inst, "--compressed"]) == 0
+    report = write(tmp_path, "r.json", json.loads(out.getvalue()))
+    calls = Counter()
+    runs = ccreconfig.rules._runs
+
+    def counted(occ):
+        calls["runs"] += 1
+        return runs(occ)
+
+    for module in (ccreconfig.rules, ccreconfig.paths, ccreconfig.cli):
+        monkeypatch.setattr(module, "_runs", counted)
+    for flags, rule in (([], "CS"), (["--rule", "TS"], "TS")):
+        calls.clear()
+        assert verify(inst, report, *flags) == (0, {"ok": True, "rule": rule, "length": 2 * k}, "")
+        assert calls["runs"] == 2, (rule, calls)
+
+
+def test_a_move_of_nothing_beside_a_run_is_not_a_move(tmp_path):
+    """A size-0 move lifts and lands nothing, so it keeps the multiset
+    even where its landing spot touches a run: verify reports it as no
+    move (adjacency), not as a merge (multiset)."""
+    g = relabelled_path(random.Random(7), 6)
+    order = path_order(g)
+    a = [order[1], order[2]]
+    inst = write(tmp_path, "i.json", instance(g, a, a, "CS"))
+    for to in (0, 2, 3):
+        report = write(tmp_path, "r.json", {"moves": [{"size": 0, "from": 5, "to": to}]})
+        assert verify(inst, report) == (
+            1, {"ok": False, "rule": "CS", "index": 0, "condition": "adjacency"}, "")

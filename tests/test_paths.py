@@ -27,8 +27,8 @@ from ccreconfig import (
 from ccreconfig.cli import main
 from ccreconfig.graph import connected_components
 from ccreconfig.oracle import enumerate_states
-from ccreconfig.paths import _pack_left_jumps, _path_runs, _solve_cj, _tagged
-from ccreconfig.rules import Result, adjacent
+from ccreconfig.paths import _pack_left_jumps, _solve_cj, _tagged
+from ccreconfig.rules import Result, _occupancy, _runs, adjacent
 
 
 def test_path_order_canonical():
@@ -246,7 +246,7 @@ def test_expand_matches_position_sets():
         a = sorted(rng.sample(range(n), rng.randint(0, n)))
         moves, state = [], set(a)
         for _ in range(rng.randint(1, 6)):
-            runs = _path_runs(path_graph(n), sorted(state))
+            runs = _runs(_occupancy(path_graph(n), state))
             if runs and rng.random() < 0.8:
                 src, size = rng.choice(runs)
             else:
@@ -365,7 +365,7 @@ def test_position_runs_are_the_components():
         g = Graph(n, list(zip(order, order[1:])))
         cases += [(g, []), (g, list(range(n))), (g, sorted(rng.sample(range(n), rng.randint(0, n))))]
     for g, sub in cases:
-        runs = _path_runs(g, sub)
+        runs = _runs(_occupancy(g, sub))
         assert SizeMultiset(size for _, size in runs) == cc_multiset(g, sub)
         along = path_order(g)
         blocks = [tuple(sorted(along[start:start + size])) for start, size in runs]
